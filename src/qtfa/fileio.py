@@ -62,27 +62,47 @@ def _save_qs2d(f, path):
         _QS2D_MAGIC, 1, f.ax1.n, f.ax2.n,
         f.ax1.min, f.ax1.step, f.ax2.min, f.ax2.step,
     )
+    _write(path, header, f.data)
+
+
+def _write(path, header, data):
+    # tofile writes the array's own buffer: no bytes copy of the payload
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+        np.ascontiguousarray(data, dtype="<f8").tofile(fh)
 
 
-def _check_payload(raw, start, count, path):
-    expected = start + 8 * count
-    if len(raw) < expected:
-        raise FormatError(f"{path}: truncated payload", offset=len(raw))
-    data = np.frombuffer(raw[start:expected], dtype="<f8").astype(float)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite value", offset=start + 8 * int(bad[0]))
+def _read_header(path, layout):
+    """The header fields and the file size; the payload is not read."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        raw = fh.read(layout.size)
+    if len(raw) < layout.size:
+        raise FormatError(f"{path}: truncated header", offset=len(raw))
+    return layout.unpack(raw), size
+
+
+def _check_axis(path, offset, amin, astep):
+    # offset is that of the axis record's min; its step follows it
+    if not np.isfinite(amin):
+        raise FormatError(f"{path}: bad axis min {amin}", offset=offset)
+    if not (np.isfinite(astep) and astep > 0):
+        raise FormatError(f"{path}: bad axis step {astep}", offset=offset + 8)
+
+
+def _read_payload(path, size, start, count):
+    if size < start + 8 * count:
+        raise FormatError(f"{path}: truncated payload", offset=size)
+    data = np.fromfile(path, dtype="<f8", count=count, offset=start).astype(float, copy=False)
+    if not np.isfinite(data).all():
+        bad = int(np.argmin(np.isfinite(data)))
+        raise FormatError(f"{path}: non-finite value", offset=start + 8 * bad)
     return data
 
 
 def _load_qs2d(path):
-    raw = path.read_bytes()
-    if len(raw) < _QS2D_HEADER.size:
-        raise FormatError(f"{path}: truncated header", offset=len(raw))
-    magic, version, n1, n2, min1, step1, min2, step2 = _QS2D_HEADER.unpack_from(raw)
+    values, size = _read_header(path, _QS2D_HEADER)
+    magic, version, n1, n2, min1, step1, min2, step2 = values
     if magic != _QS2D_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
     if version != 1:
@@ -91,10 +111,9 @@ def _load_qs2d(path):
         raise FormatError(f"{path}: bad sample count n1={n1}", offset=8)
     if n2 < 2:
         raise FormatError(f"{path}: bad sample count n2={n2}", offset=12)
-    for off, name, value in ((24, "step1", step1), (40, "step2", step2)):
-        if not (np.isfinite(value) and value > 0):
-            raise FormatError(f"{path}: bad {name}={value}", offset=off)
-    data = _check_payload(raw, _QS2D_HEADER.size, n1 * n2 * 4, path)
+    _check_axis(path, 16, min1, step1)
+    _check_axis(path, 32, min2, step2)
+    data = _read_payload(path, size, _QS2D_HEADER.size, n1 * n2 * 4)
     return GridSignal2D(Axis(n1, min1, step1), Axis(n2, min2, step2),
                         data.reshape(n1, n2, 4))
 
@@ -177,9 +196,7 @@ def save_field(field, path):
     header = _QTF4_HEADER.pack(
         _QTF4_MAGIC, 1, *(ax.n for ax in axes), *axis_vals, *param_vals,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(field.data, dtype="<f8").tobytes())
+    _write(path, header, field.data)
 
 
 def load_field(path):
@@ -188,10 +205,7 @@ def load_field(path):
     from .stqolct import StqolctField
 
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _QTF4_HEADER.size:
-        raise FormatError(f"{path}: truncated header", offset=len(raw))
-    values = _QTF4_HEADER.unpack_from(raw)
+    values, size = _read_header(path, _QTF4_HEADER)
     magic, version = values[0], values[1]
     if magic != _QTF4_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}", offset=0)
@@ -205,14 +219,13 @@ def load_field(path):
     axes = []
     for k, n in enumerate(counts):
         amin, astep = axis_vals[2 * k], axis_vals[2 * k + 1]
-        if not (np.isfinite(astep) and astep > 0):
-            raise FormatError(f"{path}: bad axis step {astep}", offset=24 + 16 * k + 8)
+        _check_axis(path, 24 + 16 * k, amin, astep)
         axes.append(Axis(n, amin, astep))
     p = values[14:26]
     params1 = OlctParams(*p[:6])
     params2 = OlctParams(*p[6:])
     count = counts[0] * counts[1] * counts[2] * counts[3] * 4
-    data = _check_payload(raw, _QTF4_HEADER.size, count, path)
+    data = _read_payload(path, size, _QTF4_HEADER.size, count)
     return StqolctField(
         w1=axes[0], w2=axes[1], u1=axes[2], u2=axes[3],
         params1=params1, params2=params2,

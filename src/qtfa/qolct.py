@@ -198,6 +198,65 @@ def qolct_inverse_batch(data, plan: QolctPlan):
     return cayley_join((p + m) / 2.0, (p - m) / 2.0j)
 
 
+def _twiddles(src: Axis, dst: Axis, sign):
+    # sum_k exp(sign*i*dst_r*src_k) a_k src.step = post_r * DFT_sign(pre * a)_r
+    k = np.arange(src.n)
+    pre = np.exp(sign * 1j * dst.min * src.step * k)
+    post = np.exp(sign * 1j * dst.coords * src.min) * src.step
+    return pre, post
+
+
+def _channel_planes(plan: QolctPlan, inverse=False):
+    """Phase planes of the fast transform, one set per Cayley channel.
+
+    Returns ``((in_p, out_p, signs_p), (in_m, out_m, signs_m))``: channel
+    c transforms as ``out_c * dft2(in_c * x, signs_c)`` (see ``_dft2``).
+    The chirps, FFT twiddles, kernel prefactors and |b| weights fold into
+    the (n1, n2) planes.  The node reversal for negative b folds into the
+    DFT exponent sign: w/b runs over the centered grid backwards, and
+    exp(-i x w/b) at reversed nodes is exp(+i x nu) at forward ones.
+    """
+    chirp1, chirp2, pre1, pre2 = _complex_profiles(plan)
+    nu1 = frequency_axis(plan.ax1)
+    nu2 = frequency_axis(plan.ax2)
+    sgn1 = math.copysign(1.0, plan.params1.b)
+    sgn2 = math.copysign(1.0, plan.params2.b)
+    channels = []
+    # The right j-complex factors reach the p channel as e^(+i..) and the
+    # m channel as e^(-i..).
+    for chirp2_c, pre2_c, sigma in ((chirp2, pre2, 1.0), (chirp2.conj(), pre2.conj(), -1.0)):
+        chirp = chirp1[:, None] * chirp2_c[None, :]
+        pre = pre1[:, None] * pre2_c[None, :]
+        if inverse:
+            signs = (sgn1, sigma * sgn2)
+            axes = ((nu1, plan.ax1), (nu2, plan.ax2))
+            # Sums over w carry dw = |b| dnu per axis.
+            head, tail = pre.conj(), chirp.conj() * abs(plan.params1.b * plan.params2.b)
+        else:
+            signs = (-sgn1, -sigma * sgn2)
+            axes = ((plan.ax1, nu1), (plan.ax2, nu2))
+            head, tail = chirp, pre
+        tw1 = _twiddles(*axes[0], signs[0])
+        tw2 = _twiddles(*axes[1], signs[1])
+        channels.append((head * (tw1[0][:, None] * tw2[0][None, :]),
+                         tail * (tw1[1][:, None] * tw2[1][None, :]), signs))
+    return tuple(channels)
+
+
+def _dft2(x, signs):
+    """In-place unscaled DFT over the first two axes of a complex array.
+
+    ``signs`` are the exponent signs for axes 0 and 1: -1 is numpy's
+    forward FFT, +1 its inverse without the 1/n.
+    """
+    for axis, sign in ((1, signs[1]), (0, signs[0])):
+        if sign < 0:
+            np.fft.fft(x, axis=axis, out=x)
+        else:
+            np.fft.ifft(x, axis=axis, norm="forward", out=x)
+    return x
+
+
 def _check_mode(mode):
     if mode not in ("direct", "fast"):
         raise ParameterError(f"mode must be 'direct' or 'fast', got {mode!r}")

@@ -9,18 +9,32 @@ translation is an exact sample shift (no interpolation).
 Three computation routes produce identical values (within roundoff):
 
 * ``direct``      -- per-u kernel quadrature (the oracle; no FFT).
-* ``via_qolct``   -- per-u fast QOLCT of the modified signal, batched
-                     over window positions.
+* ``via_qolct``   -- the row engine below (the fast route).
 * ``via_qft``     -- reduction to the two-sided QFT: chirp-modulate the
                      modified signal, transform, read off the rescaled
                      frequency grid w/b, and apply the closed-form
                      output prefactors.
 
-Identity-style checks (energy, Moyal, reconstruction) integrate over all
-translations and therefore require stride 1.  Coefficient fields are
-dense: (nw1, nw2, nu1, nu2, 4) float64, which at n=64 and stride 1 is
-about 540 MB; forward and reconstruction stream over u-batches so peak
-temporaries stay small.
+``direct`` and ``via_qft`` are deliberate second implementations: they are
+the oracles the row engine is tested against, and they build each
+modified signal with ``grid.translate_window``.
+
+The row engine works in Cayley channel form throughout.  Signal and
+window are split once into their p/m channels; the product f * conj(phi)
+is then, per cell, a 2x2 complex matrix of window planes applied to the
+signal channels.  The window planes are zero-padded once, so the planes of
+every translation are slices of one ``sliding_window_view``, and the
+QOLCT's chirps, twiddles, prefactors and negative-b flip are folded into
+per-channel phase planes (``qolct._channel_planes``).  The engine yields
+the field one u1 row at a time as a (nw1, nw2, nu2, 4) block.
+
+Everything downstream consumes rows: ``stqolct_forward`` copies them into
+the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1),
+and the reducers (``_FieldSums`` for energy, sup modulus and the
+w-marginal, ``_Reconstruction`` for the channel-native inverse, the Moyal
+inner sums) accumulate over translations without a dense field.  Identity
+checks (energy, Moyal, reconstruction) integrate over all translations and
+therefore require stride 1.
 """
 
 from __future__ import annotations
@@ -29,12 +43,13 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
-from .grid import Axis, GridSignal2D, inner_product, l2_norm
+from .grid import Axis, GridSignal2D, inner_product, l2_norm, translate_window
 from .qft import QftPlan, qft_forward
-from .qolct import (OlctParams, QolctPlan, qolct_forward, qolct_inverse,
-                    qolct_forward_batch, qolct_inverse_batch)
+from .qolct import (OlctParams, QolctPlan, _channel_planes, _dft2, qolct_forward,
+                    qolct_inverse)
 from .quaternion import qconj, qmul, unit_exp
 
 __all__ = [
@@ -96,6 +111,10 @@ class StqolctPlan:
         return (i1 * self.stride - self.ax1.n // 2,
                 i2 * self.stride - self.ax2.n // 2)
 
+    def translation(self, i1, i2):
+        """The translation u at grid index (i1, i2)."""
+        return self.u1.coords[i1], self.u2.coords[i2]
+
 
 @dataclass
 class StqolctField:
@@ -119,21 +138,14 @@ class StqolctField:
     def cell_volume(self):
         return self.w1.step * self.w2.step * self.u1.step * self.u2.step
 
-
-def _shift_data(data, m1, m2):
-    n1, n2 = data.shape[:2]
-    out = np.zeros_like(data)
-    src1 = slice(max(0, -m1), min(n1, n1 - m1))
-    src2 = slice(max(0, -m2), min(n2, n2 - m2))
-    if src1.start < src1.stop and src2.start < src2.stop:
-        out[max(0, m1):min(n1, n1 + m1), max(0, m2):min(n2, n2 + m2)] = data[src1, src2]
-    return out
+    def rows(self):
+        """The u1 rows of the field, each a contiguous (nw1, nw2, nu2, 4) copy."""
+        # One strided copy per row beats strided reads in every reducer pass.
+        return (np.ascontiguousarray(self.data[:, :, i1]) for i1 in range(self.u1.n))
 
 
 def modified_signal(f: GridSignal2D, window: GridSignal2D, u) -> GridSignal2D:
     """f(x) * conj(window(x - u)) for a grid-aligned translation u."""
-    from .grid import translate_window
-
     if not f.same_axes(window):
         raise ShapeError("signal and window are sampled on different grids")
     shifted = translate_window(window, u)
@@ -145,22 +157,103 @@ def _check_route(route):
         raise ParameterError(f"route must be one of {_ROUTES}, got {route!r}")
 
 
-def _u_pairs(plan):
-    return [(i1, i2) for i1 in range(plan.u1.n) for i2 in range(plan.u2.n)]
+def _check_signal(f, plan):
+    if f.ax1 != plan.ax1 or f.ax2 != plan.ax2:
+        raise ShapeError("signal axes do not match the plan's spatial axes")
 
 
-def _window_shift_batch(plan, pairs):
-    wdata = plan.window.data
-    batch = np.empty((len(pairs),) + wdata.shape)
-    for k, (i1, i2) in enumerate(pairs):
-        m1, m2 = plan.shift_counts(i1, i2)
-        batch[k] = _shift_data(wdata, m1, m2)
-    return batch
+def _cayley_channels(data):
+    """(p, m) = (za + i zb, za - i zb) for q = za + zb j, over the last axis."""
+    q0, q1, q2, q3 = (data[..., c] for c in range(4))
+    return (q0 - q3) + 1j * (q1 + q2), (q0 + q3) + 1j * (q1 - q2)
 
 
-def _batch_size(plan):
-    cells = plan.ax1.n * plan.ax2.n
-    return int(min(256, max(8, (1 << 21) // max(cells, 1))))
+def _window_matrix(plan):
+    """Per-cell 2x2 channel matrix of g = f * conj(phi), as four planes.
+
+    In channel form (p, m) of g is [[W_pp, W_pm], [W_mp, W_mm]] applied to
+    the channels (f_p, f_m) of f.  Its conjugate transpose applies
+    g * phi, which is what reconstruction needs.
+    """
+    phi_p, phi_m = _cayley_channels(plan.window.data)
+    return np.stack([phi_m + phi_p.conj(), phi_m.conj() - phi_p,
+                     phi_p.conj() - phi_m, phi_m.conj() + phi_p]) / 2.0
+
+
+class _Translations:
+    """Planes over the spatial grid, zero-padded once so that their values
+    at every window translation are slices of one sliding-window view."""
+
+    def __init__(self, plan, planes):
+        n1, n2 = plan.ax1.n, plan.ax2.n
+        # Translation index i shifts by m = i*stride - n//2 samples; the
+        # shifted plane is pad[before - m : before - m + n].
+        self._before = tuple(max(0, plan.shift_counts(plan.u1.n - 1, plan.u2.n - 1)[k])
+                             for k in range(2))
+        pad = np.zeros((len(planes), self._before[0] + n1 + n1 // 2,
+                        self._before[1] + n2 + n2 // 2), dtype=complex)
+        pad[:, self._before[0]:self._before[0] + n1,
+            self._before[1]:self._before[1] + n2] = planes
+        self._view = sliding_window_view(pad, (n1, n2), axis=(1, 2))
+        self._plan = plan
+
+    def row(self, i1):
+        """Shape (planes, n1, n2, nu2): every plane at translations (i1, 0..nu2-1)."""
+        plan = self._plan
+        m1, m2 = plan.shift_counts(i1, 0)
+        rows = self._view[:, self._before[0] - m1, self._before[1] - m2::-plan.stride]
+        return rows[:, :plan.u2.n].transpose(0, 2, 3, 1)
+
+
+def _rows(f: GridSignal2D, plan: StqolctPlan):
+    """The ST-QOLCT field of f, one u1 row at a time.
+
+    Yields a (nw1, nw2, nu2, 4) block per translation row i1.  The block
+    buffer is reused: a consumer copies what it keeps past its turn.
+    """
+    _check_signal(f, plan)
+    (in_p, out_p, signs_p), (in_m, out_m, signs_m) = _channel_planes(plan.qolct)
+    f_p, f_m = _cayley_channels(f.data[:, :, None])
+    src_p = (in_p[:, :, None] * f_p, in_p[:, :, None] * f_m)
+    src_m = (in_m[:, :, None] * f_p, in_m[:, :, None] * f_m)
+    # The Cayley join halves p + m and p - m; fold the 1/2 in here.
+    out_p = out_p[:, :, None] / 2.0
+    out_m = out_m[:, :, None] / 2.0
+    windows = _Translations(plan, _window_matrix(plan))
+    # Channels are laid out (w1, w2, u2) like the block, with the
+    # translations of a row as the fastest axis.
+    block = np.empty((plan.qolct.w1.n, plan.qolct.w2.n, plan.u2.n, 4))
+    p = np.empty(block.shape[:3], dtype=complex)
+    m = np.empty_like(p)
+    tmp = np.empty_like(p)
+    for i1 in range(plan.u1.n):
+        w_pp, w_pm, w_mp, w_mm = windows.row(i1)
+        np.multiply(w_pp, src_p[0], out=p)
+        p += np.multiply(w_pm, src_p[1], out=tmp)
+        np.multiply(w_mp, src_m[0], out=m)
+        m += np.multiply(w_mm, src_m[1], out=tmp)
+        _dft2(p, signs_p)
+        _dft2(m, signs_m)
+        p *= out_p
+        m *= out_m
+        # q = za + zb j with za = (p + m)/2 and zb = (p - m)/2i
+        np.add(p.real, m.real, out=block[..., 0])
+        np.add(p.imag, m.imag, out=block[..., 1])
+        np.subtract(p.imag, m.imag, out=block[..., 2])
+        np.subtract(m.real, p.real, out=block[..., 3])
+        yield block
+
+
+def _feed(rows, *reducers):
+    """Pass every row block, in u1 order, to each reducer's add(i1, block)."""
+    for i1, block in enumerate(rows):
+        for reducer in reducers:
+            reducer.add(i1, block)
+
+
+def _stream(f: GridSignal2D, plan: StqolctPlan, *reducers):
+    """One streamed pass of the row engine over f; no dense field is built."""
+    _feed(_rows(f, plan), *reducers)
 
 
 def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
@@ -192,37 +285,70 @@ def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
 def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> StqolctField:
     """Coefficient field S(w, u) over the full translation grid."""
     _check_route(route)
-    if f.ax1 != plan.ax1 or f.ax2 != plan.ax2:
-        raise ShapeError("signal axes do not match the plan's spatial axes")
+    _check_signal(f, plan)
     qplan = plan.qolct
-    nw1, nw2 = qplan.w1.n, qplan.w2.n
-    nu1, nu2 = plan.u1.n, plan.u2.n
-    out = np.empty((nw1, nw2, nu1, nu2, 4))
-    pairs = _u_pairs(plan)
-    if route == "direct":
-        for i1, i2 in pairs:
-            m1, m2 = plan.shift_counts(i1, i2)
-            g = GridSignal2D(plan.ax1, plan.ax2,
-                             qmul(f.data, qconj(_shift_data(plan.window.data, m1, m2))))
-            out[:, :, i1, i2, :] = qolct_forward(g, qplan, mode="direct").data
-    elif route == "via_qft":
-        qft_plan = QftPlan.for_axes(plan.ax1, plan.ax2)
-        for i1, i2 in pairs:
-            m1, m2 = plan.shift_counts(i1, i2)
-            g = GridSignal2D(plan.ax1, plan.ax2,
-                             qmul(f.data, qconj(_shift_data(plan.window.data, m1, m2))))
-            out[:, :, i1, i2, :] = _via_qft_single(g, qplan, qft_plan)
+    out = np.empty((qplan.w1.n, qplan.w2.n, plan.u1.n, plan.u2.n, 4))
+    if route == "via_qolct":
+        for i1, block in enumerate(_rows(f, plan)):
+            out[:, :, i1] = block
     else:
-        flat = out.reshape(nw1, nw2, nu1 * nu2, 4)
-        step = _batch_size(plan)
-        for start in range(0, len(pairs), step):
-            sub = pairs[start:start + step]
-            wbatch = _window_shift_batch(plan, sub)
-            gbatch = qmul(f.data[None], qconj(wbatch))
-            sbatch = qolct_forward_batch(gbatch, qplan)
-            flat[:, :, start:start + len(sub), :] = np.moveaxis(sbatch, 0, 2)
+        # the oracles: one modified signal and one transform per translation
+        qft_plan = QftPlan.for_axes(plan.ax1, plan.ax2)
+        for i1 in range(plan.u1.n):
+            for i2 in range(plan.u2.n):
+                g = modified_signal(f, plan.window, plan.translation(i1, i2))
+                if route == "direct":
+                    out[:, :, i1, i2] = qolct_forward(g, qplan, mode="direct").data
+                else:
+                    out[:, :, i1, i2] = _via_qft_single(g, qplan, qft_plan)
     return StqolctField(qplan.w1, qplan.w2, plan.u1, plan.u2,
                         qplan.params1, qplan.params2, out, plan)
+
+
+class _FieldSums:
+    """|S|^2 reductions of a field, accumulated one u1 row at a time.
+
+    ``energy`` is the quadrature sum of |S|^2, ``sup`` the largest |S|,
+    ``w_marginal`` the u-integrated |S|^2 on the (w1, w2) grid (cells of
+    area ``w_cell``), and ``u_energy`` the w-summed |S|^2 per translation
+    (no cell weights).
+    """
+
+    def __init__(self, w1, w2, u1, u2):
+        self.w_cell = w1.step * w2.step
+        self._volume = self.w_cell * u1.step * u2.step
+        self._du = u1.step * u2.step
+        self._marginal = np.zeros((w1.n, w2.n))
+        self.u_energy = np.zeros((u1.n, u2.n))
+        self._peak = 0.0
+
+    @classmethod
+    def for_plan(cls, plan: StqolctPlan):
+        return cls(plan.qolct.w1, plan.qolct.w2, plan.u1, plan.u2)
+
+    @classmethod
+    def of_field(cls, field: StqolctField):
+        sums = cls(field.w1, field.w2, field.u1, field.u2)
+        _feed(field.rows(), sums)
+        return sums
+
+    def add(self, i1, block):
+        sq = np.einsum("abuc,abuc->abu", block, block)
+        self._marginal += sq.sum(axis=2)
+        self.u_energy[i1] = sq.sum(axis=(0, 1))
+        self._peak = max(self._peak, float(sq.max()))
+
+    @property
+    def energy(self):
+        return float(np.sum(self.u_energy)) * self._volume
+
+    @property
+    def sup(self):
+        return math.sqrt(self._peak)
+
+    @property
+    def w_marginal(self):
+        return self._marginal * self._du
 
 
 def stqolct_energy(field: StqolctField) -> float:
@@ -231,7 +357,7 @@ def stqolct_energy(field: StqolctField) -> float:
     With stride 1 this matches the signal/window energy product
     ||phi||^2 ||f||^2 up to boundary truncation of the window sum.
     """
-    return float(np.sum(field.data * field.data)) * field.cell_volume
+    return _FieldSums.of_field(field).energy
 
 
 def coefficient_slice(field: StqolctField, i1, i2) -> GridSignal2D:
@@ -256,20 +382,102 @@ class MoyalResult:
     rhs_reversed: np.ndarray
 
 
+def _conj_product_sum(gram):
+    """sum a * conj(b) from the component sums gram[c, d] = sum a_c b_d."""
+    g = gram
+    return np.array([g[0, 0] + g[1, 1] + g[2, 2] + g[3, 3],
+                     g[1, 0] - g[0, 1] + g[3, 2] - g[2, 3],
+                     g[2, 0] - g[0, 2] + g[1, 3] - g[3, 1],
+                     g[3, 0] - g[0, 3] + g[2, 1] - g[1, 2]])
+
+
+def _moyal_results(qplan: QolctPlan, cases, route="via_qolct"):
+    """MoyalResult for each case (f, g, phi, psi), from shared fields.
+
+    The left-hand side is the quadrature inner product sum S_f^phi
+    conj(S_g^psi) dV of the two stride-1 fields.  Each distinct (signal,
+    window) pair, by identity, is computed once; all fields advance
+    together one u1 row at a time, and only the oracle routes build dense
+    fields.
+    """
+    _check_route(route)
+    distinct = {}  # (id(signal), id(window)) -> (index, signal, window)
+    pairs = [[distinct.setdefault((id(sig), id(win)), (len(distinct), sig, win))[0]
+              for sig, win in ((f, phi), (g, psi))] for f, g, phi, psi in cases]
+    distinct = [(sig, win) for _, sig, win in distinct.values()]
+    plans = [StqolctPlan.create(qplan.params1, qplan.params2, qplan.ax1, qplan.ax2,
+                                win, stride=1) for _, win in distinct]
+    if route == "via_qolct":
+        sources = [_rows(sig, plan) for (sig, _), plan in zip(distinct, plans)]
+    else:
+        sources = [stqolct_forward(sig, plan, route).rows()
+                   for (sig, _), plan in zip(distinct, plans)]
+    grams = np.zeros((len(cases), 4, 4))
+    for blocks in zip(*sources):
+        flat = [block.reshape(-1, 4) for block in blocks]
+        for k, (a, b) in enumerate(pairs):
+            grams[k] += flat[a].T @ flat[b]
+    volume = qplan.w1.step * qplan.w2.step * plans[0].u1.step * plans[0].u2.step
+    results = []
+    for (f, g, phi, psi), gram in zip(cases, grams):
+        ip_fg = inner_product(f, g)
+        ip_pp = inner_product(phi, psi)
+        results.append(MoyalResult(lhs=_conj_product_sum(gram) * volume,
+                                   rhs=qmul(ip_fg, ip_pp), rhs_reversed=qmul(ip_pp, ip_fg)))
+    return results
+
+
 def moyal_check(f, g, phi, psi, qplan: QolctPlan, route="via_qolct") -> MoyalResult:
-    plan_f = StqolctPlan.create(qplan.params1, qplan.params2,
-                                qplan.ax1, qplan.ax2, phi, stride=1)
-    plan_g = StqolctPlan.create(qplan.params1, qplan.params2,
-                                qplan.ax1, qplan.ax2, psi, stride=1)
-    sf = stqolct_forward(f, plan_f, route)
-    sg = stqolct_forward(g, plan_g, route)
-    acc = np.zeros(4)
-    for i1 in range(sf.u1.n):
-        acc += np.sum(qmul(sf.data[:, :, i1], qconj(sg.data[:, :, i1])), axis=(0, 1, 2))
-    lhs = acc * sf.cell_volume
-    ip_fg = inner_product(f, g)
-    ip_pp = inner_product(phi, psi)
-    return MoyalResult(lhs=lhs, rhs=qmul(ip_fg, ip_pp), rhs_reversed=qmul(ip_pp, ip_fg))
+    return _moyal_results(qplan, [(f, g, phi, psi)], route)[0]
+
+
+class _Reconstruction:
+    """Channel-native inverse of the row engine, fed one u1 row at a time.
+
+    Each coefficient slice goes back through the inverse channel planes;
+    the result is weighted by the translated window (the conjugate
+    transpose of the forward window matrix) and summed over translations.
+    """
+
+    def __init__(self, plan: StqolctPlan):
+        if plan.stride != 1:
+            raise ParameterError("reconstruction requires a stride-1 translation grid")
+        self._plan = plan
+        (self._in_p, self._out_p, self._signs_p), \
+            (self._in_m, self._out_m, self._signs_m) = _channel_planes(plan.qolct,
+                                                                       inverse=True)
+        w_pp, w_pm, w_mp, w_mm = _window_matrix(plan).conj()
+        self._windows = _Translations(plan, np.stack([w_pp, w_mp, w_pm, w_mm]))
+        n1, n2 = plan.ax1.n, plan.ax2.n
+        self._p = np.empty((n1, n2, plan.u2.n), dtype=complex)
+        self._m = np.empty_like(self._p)
+        # sums over u of p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)
+        self._acc = np.zeros((4, n1, n2), dtype=complex)
+
+    def add(self, i1, block):
+        p, m = self._p, self._m
+        np.subtract(block[..., 0], block[..., 3], out=p.real)
+        np.add(block[..., 1], block[..., 2], out=p.imag)
+        np.add(block[..., 0], block[..., 3], out=m.real)
+        np.subtract(block[..., 1], block[..., 2], out=m.imag)
+        p *= self._in_p[:, :, None]
+        m *= self._in_m[:, :, None]
+        _dft2(p, self._signs_p)
+        _dft2(m, self._signs_m)
+        w = self._windows.row(i1)
+        for k, chan in enumerate((p, m, p, m)):
+            self._acc[k] += np.einsum("klu,klu->kl", chan, w[k])
+
+    def result(self) -> GridSignal2D:
+        plan = self._plan
+        acc = self._acc
+        rec_p = self._out_p * acc[0] + self._out_m * acc[1]
+        rec_m = self._out_p * acc[2] + self._out_m * acc[3]
+        # the Cayley join's 1/2 and the translation average du / ||phi||^2
+        scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2 / 2.0
+        data = np.stack([rec_p.real + rec_m.real, rec_p.imag + rec_m.imag,
+                         rec_p.imag - rec_m.imag, rec_m.real - rec_p.real], axis=-1)
+        return GridSignal2D(plan.ax1, plan.ax2, data * scale)
 
 
 def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:
@@ -288,26 +496,15 @@ def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:
         )
     if plan.stride != 1:
         raise ParameterError("reconstruction requires a stride-1 translation grid")
-    qplan = plan.qolct
-    norm_sq = l2_norm(plan.window) ** 2
-    n1, n2 = plan.ax1.n, plan.ax2.n
-    nu1, nu2 = field.u1.n, field.u2.n
-    acc = np.zeros((n1, n2, 4))
-    pairs = _u_pairs(plan)
-    if mode == "direct":
-        for i1, i2 in pairs:
-            g = qolct_inverse(coefficient_slice(field, i1, i2), qplan, mode="direct")
-            m1, m2 = plan.shift_counts(i1, i2)
-            acc += qmul(g.data, _shift_data(plan.window.data, m1, m2))
-    else:
-        flat = field.data.reshape(field.w1.n, field.w2.n, nu1 * nu2, 4)
-        step = _batch_size(plan)
-        for start in range(0, len(pairs), step):
-            sub = pairs[start:start + step]
-            sbatch = np.ascontiguousarray(
-                np.moveaxis(flat[:, :, start:start + len(sub), :], 2, 0))
-            ginv = qolct_inverse_batch(sbatch, qplan)
-            wbatch = _window_shift_batch(plan, sub)
-            acc += np.sum(qmul(ginv, wbatch), axis=0)
-    data = acc * (field.u1.step * field.u2.step / norm_sq)
-    return GridSignal2D(plan.ax1, plan.ax2, data)
+    if mode == "fast":
+        rec = _Reconstruction(plan)
+        _feed(field.rows(), rec)
+        return rec.result()
+    # the oracle: direct inverse quadrature of every slice
+    acc = np.zeros((plan.ax1.n, plan.ax2.n, 4))
+    for i1 in range(field.u1.n):
+        for i2 in range(field.u2.n):
+            g = qolct_inverse(coefficient_slice(field, i1, i2), plan.qolct, mode="direct")
+            acc += qmul(g.data, translate_window(plan.window, plan.translation(i1, i2)).data)
+    return GridSignal2D(plan.ax1, plan.ax2, acc * (field.u1.step * field.u2.step
+                                                 / l2_norm(plan.window) ** 2))

@@ -23,7 +23,8 @@ from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
 from .specialfn import digamma, gamma
-from .stqolct import StqolctField, StqolctPlan, modified_signal, stqolct_forward
+from .stqolct import (StqolctField, StqolctPlan, _FieldSums, _stream, modified_signal,
+                      stqolct_forward)
 
 __all__ = [
     "CellSet",
@@ -105,13 +106,28 @@ def signal_energy_map(f: GridSignal2D) -> EnergyMap:
     return EnergyMap("space", np.sum(f.data * f.data, axis=-1), f.cell_area)
 
 
+def _marginal_map(sums: _FieldSums) -> EnergyMap:
+    """The u-integrated energy marginal accumulated by a field reducer."""
+    return EnergyMap("frequency", sums.w_marginal, sums.w_cell)
+
+
 def field_w_energy_map(field: StqolctField) -> EnergyMap:
     """u-integrated energy marginal over the frequency grid."""
-    du = field.u1.step * field.u2.step
-    values = np.zeros((field.w1.n, field.w2.n))
-    for i1 in range(field.u1.n):
-        values += np.sum(field.data[:, :, i1] ** 2, axis=(2, 3))
-    return EnergyMap("frequency", values * du, field.w1.step * field.w2.step)
+    return _marginal_map(_FieldSums.of_field(field))
+
+
+def _w_marginal(f, plan, route, field, marginal) -> EnergyMap:
+    # The marginal a check was handed, else that of its field, else one
+    # streamed from f (no dense field on the fast route).
+    if marginal is not None:
+        return marginal
+    if field is None and route == "via_qolct":
+        sums = _FieldSums.for_plan(plan)
+        _stream(f, plan, sums)
+        return _marginal_map(sums)
+    if field is None:
+        field = stqolct_forward(f, plan, route)
+    return field_w_energy_map(field)
 
 
 def _as_energy_map(obj) -> EnergyMap:
@@ -174,16 +190,14 @@ def _require_stride1(plan):
 
 def donoho_stark_check(f: GridSignal2D, plan: StqolctPlan, eps_m: float, eps_n: float,
                        route="via_qolct", field: StqolctField | None = None,
-                       ) -> InequalityResult:
+                       marginal: EnergyMap | None = None) -> InequalityResult:
     """Support-area product bound |M||N| >= 2*pi*|b1*b2|*(1 - eps_M - eps_N)^2."""
     if eps_m < 0 or eps_n < 0 or eps_m + eps_n >= 1.0:
         raise ParameterError(
             f"need eps_m, eps_n >= 0 with eps_m + eps_n < 1, got {eps_m}, {eps_n}")
     _require_stride1(plan)
-    if field is None:
-        field = stqolct_forward(f, plan, route)
     m_set = essential_support(f, eps_m)
-    n_set = essential_support(field_w_energy_map(field), eps_n)
+    n_set = essential_support(_w_marginal(f, plan, route, field, marginal), eps_n)
     b1b2 = abs(plan.qolct.params1.b * plan.qolct.params2.b)
     lhs = m_set.measure * n_set.measure
     rhs = 2.0 * math.pi * b1b2 * (1.0 - eps_m - eps_n) ** 2
@@ -233,10 +247,7 @@ def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float, route="via_qolc
     if not 0.0 <= alpha < 2.0:
         raise ParameterError(f"alpha must lie in [0, 2), got {alpha}")
     _require_stride1(plan)
-    if marginal is None:
-        if field is None:
-            field = stqolct_forward(f, plan, route)
-        marginal = field_w_energy_map(field)
+    marginal = _w_marginal(f, plan, route, field, marginal)
     w_radii = _frequency_radii(plan)
     lhs = _pitt_lhs(marginal, w_radii, alpha)
     rhs = _pitt_rhs(f, plan, alpha)
@@ -266,10 +277,7 @@ def log_up_check(f: GridSignal2D, plan: StqolctPlan, route="via_qolct",
     The derivative variant is the gated one.
     """
     _require_stride1(plan)
-    if marginal is None:
-        if field is None:
-            field = stqolct_forward(f, plan, route)
-        marginal = field_w_energy_map(field)
+    marginal = _w_marginal(f, plan, route, field, marginal)
     w_radii = _frequency_radii(plan)
     x_radii = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :])
     sig_energy = np.sum(f.data * f.data, axis=-1)

@@ -28,10 +28,10 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .specialfn import gamma
-from .stqolct import (StqolctPlan, moyal_check, stqolct_energy,
-                      stqolct_forward, stqolct_reconstruct)
-from .uncertainty import (InequalityResult, beurling_integral, donoho_stark_check,
-                          field_w_energy_map, hardy_decay_fit, log_up_check,
+from .stqolct import (StqolctPlan, _FieldSums, _moyal_results, _Reconstruction,
+                      _stream, stqolct_forward)
+from .uncertainty import (InequalityResult, _marginal_map, beurling_integral,
+                          donoho_stark_check, hardy_decay_fit, log_up_check,
                           log_up_constant, pitt_check, pitt_constant)
 
 __all__ = ["RunConfig", "default_config_dict", "run_verification", "write_report",
@@ -122,6 +122,10 @@ class RunConfig:
         for a in merged["pitt_alphas"]:
             if not 0 <= float(a) < 2:
                 raise ParameterError(f"pitt alpha must lie in [0, 2), got {a}")
+        if int(merged["oracle_trials"]) < 1:
+            # zero trials would record a passing oracle check with lhs=0
+            raise ParameterError(
+                f"oracle_trials must be at least 1, got {merged['oracle_trials']}")
         return cls(
             n=n, extent=float(merged["extent"]), stride=stride,
             window_alpha=float(merged["window_alpha"]),
@@ -297,11 +301,28 @@ def _check_beurling(config, pset):
     return results
 
 
-def _sup_modulus(field):
-    worst = 0.0
-    for i1 in range(field.u1.n):
-        worst = max(worst, float(np.max(np.sum(field.data[:, :, i1] ** 2, axis=-1))))
-    return math.sqrt(worst)
+class _HardySlices:
+    """Coefficient slices at u = 0 and at the energy-maximizing translation.
+
+    Fed after ``sums`` in the same pass, so the per-u energies of a row
+    are known when the row arrives.  Strict improvement keeps the first
+    maximum in row-major order, as ``np.argmax`` would.
+    """
+
+    def __init__(self, plan, sums):
+        self._sums = sums
+        self._zero = (plan.ax1.n // 2 // plan.stride, plan.ax2.n // 2 // plan.stride)
+        self._best = -math.inf
+        self.slices = {}
+
+    def add(self, i1, block):
+        row = self._sums.u_energy[i1]
+        i2 = int(np.argmax(row))
+        if row[i2] > self._best:
+            self._best = row[i2]
+            self.slices["u=max-overlap"] = block[:, :, i2].copy()
+        if i1 == self._zero[0]:
+            self.slices["u=0"] = block[:, :, self._zero[1]].copy()
 
 
 def _check_param_set(config, pset, selected):
@@ -356,31 +377,33 @@ def _check_param_set(config, pset, selected):
         window = gaussian_signal(ax1, ax2, config.window_alpha)
         plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=config.stride)
         f = gaussian_signal(ax1, ax2, 1.0)
-        field = stqolct_forward(f, plan)
         win_sq = l2_norm(window) ** 2
         f_sq = l2_norm(f) ** 2
         b1b2 = abs(a1.b * a2.b)
+        # one streamed pass of the field feeds every selected reducer
+        sums = _FieldSums.for_plan(plan)
+        identities = config.stride == 1
+        rec = _Reconstruction(plan) if identities and want("reconstruction") else None
+        slices = _HardySlices(plan, sums) if identities and want("hardy-field") else None
+        _stream(f, plan, *(r for r in (sums, rec, slices) if r is not None))
 
         if want("boundedness"):
             bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(b1b2))
-            results.append(_below("boundedness", {"set": name},
-                                  _sup_modulus(field), bound, 1e-9))
-        if config.stride == 1:
+            results.append(_below("boundedness", {"set": name}, sums.sup, bound, 1e-9))
+        if identities:
             if want("energy"):
                 results.append(_close("energy", {"set": name},
-                                      stqolct_energy(field), win_sq * f_sq, 1e-3))
+                                      sums.energy, win_sq * f_sq, 1e-3))
             if want("isometry"):
                 results.append(_close("isometry", {"set": name},
-                                      stqolct_energy(field) / win_sq, f_sq, 1e-3))
+                                      sums.energy / win_sq, f_sq, 1e-3))
             if want("reconstruction"):
                 results.append(_below("reconstruction", {"set": name},
-                                      _rel_l2(stqolct_reconstruct(field), f),
-                                      0.0, 1e-3))
-            marginal = field_w_energy_map(field) if want(
-                "donoho-stark", "pitt", "pitt-equality", "log-up") else None
+                                      _rel_l2(rec.result(), f), 0.0, 1e-3))
+            marginal = _marginal_map(sums)
             if want("donoho-stark"):
                 for eps in config.eps:
-                    results.append(donoho_stark_check(f, plan, eps, eps, field=field))
+                    results.append(donoho_stark_check(f, plan, eps, eps, marginal=marginal))
                 results.append(_donoho_stark_corollary(config, plan, name))
             if want("pitt", "pitt-equality"):
                 for alpha in config.pitt_alphas:
@@ -396,7 +419,7 @@ def _check_param_set(config, pset, selected):
                 derivative.params["set"] = name
                 results.extend([literal, derivative])
             if want("hardy-field"):
-                results.extend(_hardy_field(config, plan, field, name))
+                results.extend(_hardy_field(config, plan, slices.slices, name))
 
     if want("moyal", "moyal-shared-window", "moyal-shared-signal", "moyal-general"):
         results.extend(_check_moyal(config, pset))
@@ -411,24 +434,22 @@ def _donoho_stark_corollary(config, plan, name):
     data = f.data.copy()
     data[radii > config.extent / 2.0] = 0.0
     truncated = GridSignal2D(ax1, ax2, data)
+    # streams the truncated signal's field for its w-marginal only
     res = donoho_stark_check(truncated, plan, 0.0, 0.0)
     res.name = "donoho-stark-support"
     res.params["set"] = name
     return res
 
 
-def _hardy_field(config, plan, field, name):
+def _hardy_field(config, plan, slices, name):
     # decay fits on the coefficient magnitude at u = 0 and at the
     # energy-maximizing translation; informational only
     results = []
     p1, p2 = plan.qolct.params1, plan.qolct.params2
-    per_u = np.sum(field.data ** 2, axis=(0, 1, 4))
-    best = np.unravel_index(int(np.argmax(per_u)), per_u.shape)
-    zero_idx = (plan.ax1.n // 2 // plan.stride, plan.ax2.n // 2 // plan.stride)
-    for label, (i1, i2) in (("u=0", zero_idx), ("u=max-overlap", best)):
-        mag = qnorm(field.data[:, :, i1, i2, :])
+    for label in ("u=0", "u=max-overlap"):
+        mag = qnorm(slices[label])
         try:
-            fit = hardy_decay_fit(mag, field.w1.coords, field.w2.coords,
+            fit = hardy_decay_fit(mag, plan.qolct.w1.coords, plan.qolct.w2.coords,
                                   config.hardy_radius,
                                   offset=(p1.p, p2.p), scale=(p1.b, p2.b))
             results.append(InequalityResult(
@@ -455,18 +476,17 @@ def _check_moyal(config, pset):
     phi = gaussian_signal(ax1, ax2, config.window_alpha)
     psi = gaussian_signal(ax1, ax2, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
     results = []
-
-    shared = moyal_check(f, g, phi, phi, qplan)
+    # four distinct fields (f.phi, g.phi, f.psi, g.psi), each streamed once
+    shared, same_sig, general = _moyal_results(
+        qplan, [(f, g, phi, phi), (f, f, phi, psi), (f, g, phi, psi)])
     scale = max(abs(float(shared.rhs[0])), 1e-300)
     results.append(_close("moyal-shared-window", {"set": name},
                           float(shared.lhs[0]) / scale,
                           float(shared.rhs[0]) / scale, 1e-3))
-    same_sig = moyal_check(f, f, phi, psi, qplan)
     scale = max(abs(float(same_sig.rhs[0])), 1e-300)
     results.append(_close("moyal-shared-signal", {"set": name},
                           float(same_sig.lhs[0]) / scale,
                           float(same_sig.rhs[0]) / scale, 1e-3))
-    general = moyal_check(f, g, phi, psi, qplan)
     results.append(InequalityResult(
         name="moyal-general",
         params={"set": name, "lhs": [float(v) for v in general.lhs],
@@ -493,6 +513,10 @@ def _max_workers():
 def run_verification(config: RunConfig, only=None):
     """Run the corpus and return results in deterministic task order."""
     selected = set(only) if only else None
+    if selected is not None:
+        unknown = selected - _KNOWN_CHECKS
+        if unknown:
+            raise ParameterError(f"unknown check names: {sorted(unknown)}")
     tasks = [
         ("quat-algebra", lambda: _check_quat_algebra(config)),
         ("special-fn", lambda: _check_special_fn(config)),
@@ -533,6 +557,8 @@ _PARAM_GROUP = {"qolct-plancherel", "qolct-roundtrip", "qolct-oracle",
                 "moyal-general", "hardy-field"}
 
 _BEURLING_GROUP = {"beurling-value", "beurling-monotone", "beurling"}
+
+_KNOWN_CHECKS = set().union(*_TASK_GROUPS.values(), _PARAM_GROUP, _BEURLING_GROUP)
 
 
 def _task_selected(label, selected):

@@ -187,6 +187,19 @@ class TestVerify:
         assert run("verify", "--config", config,
                    "--out", tmp_path / "r.jsonl") == 2
 
+    def test_unknown_only_name_exits_2(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        assert run("verify", "--n", 16, "--only", "no-such-check",
+                   "--out", report) == 2
+        assert not report.exists()
+
+    def test_zero_oracle_trials_exits_2(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 16, "oracle_trials": 0}))
+        report = tmp_path / "r.jsonl"
+        assert run("verify", "--config", config, "--out", report) == 2
+        assert not report.exists()
+
     def test_malformed_json_exits_2(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text("{not json")

@@ -62,6 +62,16 @@ class TestQs2d:
             load_signal(path)
         assert err.value.offset == 48 + 8 * bad_index
 
+    def test_non_finite_axis_min_reports_offset(self, signal, tmp_path):
+        path = tmp_path / "f.qs2d"
+        save_signal(signal, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 32, float("nan"))  # min2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            load_signal(path)
+        assert err.value.offset == 32
+
     def test_unknown_extension(self, signal, tmp_path):
         with pytest.raises(ParameterError):
             save_signal(signal, tmp_path / "f.dat")
@@ -148,3 +158,27 @@ class TestQtf4:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             load_field(path)
+
+    def test_non_finite_axis_min_reports_offset(self, field, tmp_path):
+        path = tmp_path / "s.qtf4"
+        save_field(field, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 24 + 16 * 2, float("inf"))  # u1 min
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            load_field(path)
+        assert err.value.offset == 56
+
+    def test_payload_errors_report_offset(self, field, tmp_path):
+        path = tmp_path / "s.qtf4"
+        save_field(field, path)
+        raw = bytearray(path.read_bytes())
+        path.write_bytes(bytes(raw[:-8]))
+        with pytest.raises(FormatError) as err:
+            load_field(path)
+        assert err.value.offset == len(raw) - 8
+        struct.pack_into("<d", raw, 184 + 8 * 11, float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            load_field(path)
+        assert err.value.offset == 184 + 8 * 11

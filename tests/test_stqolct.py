@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_signal
 from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   chirp_signal, coefficient_slice, gaussian_signal,
                   impulse_signal, l2_norm, modified_signal,
                   moyal_check, qconj, qmul, qnorm, qolct_forward, qolct_inverse,
-                  quat, stqolct_energy, stqolct_forward, stqolct_reconstruct)
+                  quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
+                  translate_window)
 from qtfa.errors import ParameterError, ShapeError
+from qtfa.stqolct import _FieldSums, _moyal_results, _Reconstruction, _stream
+from qtfa.verify import _HardySlices
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
 SHEAR = OlctParams(1, 1, 0, 1, 0, 0)
@@ -314,3 +318,89 @@ def test_inversion_consistency_per_slice():
         num = np.sqrt(np.sum((got.data - expect.data) ** 2))
         den = max(np.sqrt(np.sum(expect.data**2)), 1e-300)
         assert num / den < 1e-6
+
+
+# -- the row engine ---------------------------------------------------------
+
+@st.composite
+def sextets(draw):
+    # a, d free; c solves a*d - b*c = 1; b of either sign, down to small |b|
+    b = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    a = draw(st.floats(-2.0, 2.0))
+    d = draw(st.floats(-2.0, 2.0))
+    p, q = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    return OlctParams(a, b, (a * d - 1.0) / b, d, p, q)
+
+
+@st.composite
+def rectangular_grids(draw):
+    # n1 != n2, both multiples of the stride with at least 2 translations
+    stride = draw(st.sampled_from([1, 2, 4]))
+    sizes = [n for n in (4, 6, 8, 12, 16) if n % stride == 0 and n // stride >= 2]
+    n1, n2 = draw(st.lists(st.sampled_from(sizes), min_size=2, max_size=2, unique=True))
+    extent = draw(st.floats(2.0, 8.0))
+    return Axis.centered(n1, extent), Axis.centered(n2, extent / 2), stride
+
+
+@settings(max_examples=30, deadline=None)
+@given(params1=sextets(), params2=sextets(), grid=rectangular_grids(),
+       seed=st.integers(0, 2**32 - 2))
+def test_row_engine_matches_direct(params1, params2, grid, seed):
+    ax1, ax2, stride = grid
+    window = random_signal(ax1, ax2, seed=seed)
+    plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
+    f = random_signal(ax1, ax2, seed=seed + 1)
+    fast = stqolct_forward(f, plan, "via_qolct").data
+    direct = stqolct_forward(f, plan, "direct").data
+    assert np.max(np.abs(fast - direct)) < 1e-9
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
+
+
+@pytest.mark.parametrize("params", [(MIXED, NEG_B), (NEG_B, UNIT_B)])
+def test_streamed_reducers_match_dense_reductions(params):
+    ax1, ax2 = Axis.centered(16, 8.0), Axis.centered(12, 6.0)
+    f = random_signal(ax1, ax2, seed=400)
+    g = random_signal(ax1, ax2, seed=401)
+    phi = random_signal(ax1, ax2, seed=402)
+    psi = random_signal(ax1, ax2, seed=403)
+    plan = StqolctPlan.create(*params, ax1, ax2, phi, stride=1)
+
+    sums = _FieldSums.for_plan(plan)
+    rec = _Reconstruction(plan)
+    slices = _HardySlices(plan, sums)
+    _stream(f, plan, sums, rec, slices)
+
+    field = stqolct_forward(f, plan)
+    sq = np.sum(field.data ** 2, axis=-1)
+    du = plan.u1.step * plan.u2.step
+    assert _rel(sums.energy, float(np.sum(sq)) * field.cell_volume) < 1e-12
+    assert _rel(sums.w_marginal, np.sum(sq, axis=(2, 3)) * du) < 1e-12
+    assert _rel(sums.sup, float(np.sqrt(np.max(sq)))) < 1e-12
+
+    expect = np.zeros((16, 12, 4))
+    for i1 in range(plan.u1.n):
+        for i2 in range(plan.u2.n):
+            g_u = qolct_inverse(coefficient_slice(field, i1, i2), plan.qolct)
+            shifted = translate_window(phi, plan.translation(i1, i2))
+            expect += qmul(g_u.data, shifted.data)
+    expect *= du / l2_norm(phi) ** 2
+    assert _rel(rec.result().data, expect) < 1e-12
+
+    per_u = np.sum(sq, axis=(0, 1))
+    best = np.unravel_index(int(np.argmax(per_u)), per_u.shape)
+    zero = (8, 6)
+    for label, (i1, i2) in (("u=0", zero), ("u=max-overlap", best)):
+        assert _rel(slices.slices[label], field.data[:, :, i1, i2]) < 1e-12
+
+    qplan = plan.qolct
+    cases = [(f, g, phi, phi), (f, f, phi, psi), (f, g, phi, psi)]
+    dense = {(id(s), id(w)): stqolct_forward(
+        s, StqolctPlan.create(*params, ax1, ax2, w, stride=1)).data
+        for s, w in ((f, phi), (g, phi), (f, psi), (g, psi))}
+    for (a, b, wa, wb), res in zip(cases, _moyal_results(qplan, cases)):
+        lhs = np.sum(qmul(dense[id(a), id(wa)], qconj(dense[id(b), id(wb)])),
+                     axis=(0, 1, 2, 3)) * field.cell_volume
+        assert _rel(res.lhs, lhs) < 1e-12

@@ -44,6 +44,11 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig.from_dict({**default_config_dict(), "n": 64, "stride": 7})
 
+    def test_zero_oracle_trials_rejected(self):
+        # zero trials used to emit passing oracle records with lhs=0
+        with pytest.raises(ParameterError):
+            RunConfig.from_dict({"oracle_trials": 0})
+
 
 class TestRunVerification:
     def test_small_corpus_passes(self):
@@ -55,6 +60,31 @@ class TestRunVerification:
         results = run_verification(small_config(), only=["donoho-stark"])
         assert results
         assert {r.name for r in results} == {"donoho-stark"}
+
+    def test_unknown_only_name_rejected(self):
+        # a filter that matches nothing used to run 0 checks and pass
+        with pytest.raises(ParameterError):
+            run_verification(small_config(), only=["donoho-stark", "no-such-check"])
+
+    def test_default_corpus_record_order(self):
+        head = (["quat-table", "quat-norm-multiplicative", "quat-conj-antiautomorphism",
+                 "quat-scalar-cyclic", "gamma-half", "gamma-recurrence",
+                 "log-up-constant", "pitt-constant-zero"]
+                + ["pitt-constant-continuity"] * 2
+                + ["qft-plancherel", "qft-roundtrip"] * 3
+                + ["qft-plancherel", "qft-oracle"] + ["hardy-qft"] * 4 + ["hardy-chirp"])
+        per_set = (["qolct-plancherel", "qolct-roundtrip"] * 3
+                   + ["qolct-oracle", "stqolct-routes", "boundedness", "energy",
+                      "isometry", "reconstruction"]
+                   + ["donoho-stark"] * 3
+                   + ["donoho-stark-support", "pitt", "pitt-equality", "pitt", "pitt",
+                      "pitt", "log-up-literal", "log-up-derivative", "hardy-field",
+                      "hardy-field", "moyal-shared-window", "moyal-shared-signal",
+                      "moyal-general", "beurling-value", "beurling-monotone"])
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        results = run_verification(config)
+        assert [r.name for r in results] == head + per_set * 3
+        assert not gated_failures(results)
 
     def test_ungated_checks_never_gate(self):
         results = run_verification(small_config(), only=sorted(UNGATED_CHECKS))
