@@ -31,10 +31,11 @@ the field one u1 row at a time as a (nw1, nw2, nu2, 4) block.
 Everything downstream consumes rows: ``stqolct_forward`` copies them into
 the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1),
 and the reducers (``_FieldSums`` for energy, sup modulus and the
-w-marginal, ``_Reconstruction`` for the channel-native inverse, the Moyal
-inner sums) accumulate over translations without a dense field.  Identity
-checks (energy, Moyal, reconstruction) integrate over all translations and
-therefore require stride 1.
+w-marginal, ``_Reconstruction`` for the channel-native inverse)
+accumulate over translations without a dense field.  ``moyal_check``
+builds its two fields with ``stqolct_forward`` and reduces their rows.
+Identity checks (energy, Moyal, reconstruction) integrate over all
+translations and therefore require stride 1.
 """
 
 from __future__ import annotations
@@ -391,44 +392,24 @@ def _conj_product_sum(gram):
                      g[3, 0] - g[0, 3] + g[2, 1] - g[1, 2]])
 
 
-def _moyal_results(qplan: QolctPlan, cases, route="via_qolct"):
-    """MoyalResult for each case (f, g, phi, psi), from shared fields.
+def moyal_check(f, g, phi, psi, qplan: QolctPlan, route="via_qolct") -> MoyalResult:
+    """Both sides of the Moyal identity for S_f^phi and S_g^psi.
 
     The left-hand side is the quadrature inner product sum S_f^phi
-    conj(S_g^psi) dV of the two stride-1 fields.  Each distinct (signal,
-    window) pair, by identity, is computed once; all fields advance
-    together one u1 row at a time, and only the oracle routes build dense
-    fields.
+    conj(S_g^psi) dV of the two stride-1 fields, accumulated row by row
+    from per-row 4x4 component sums.
     """
-    _check_route(route)
-    distinct = {}  # (id(signal), id(window)) -> (index, signal, window)
-    pairs = [[distinct.setdefault((id(sig), id(win)), (len(distinct), sig, win))[0]
-              for sig, win in ((f, phi), (g, psi))] for f, g, phi, psi in cases]
-    distinct = [(sig, win) for _, sig, win in distinct.values()]
-    plans = [StqolctPlan.create(qplan.params1, qplan.params2, qplan.ax1, qplan.ax2,
-                                win, stride=1) for _, win in distinct]
-    if route == "via_qolct":
-        sources = [_rows(sig, plan) for (sig, _), plan in zip(distinct, plans)]
-    else:
-        sources = [stqolct_forward(sig, plan, route).rows()
-                   for (sig, _), plan in zip(distinct, plans)]
-    grams = np.zeros((len(cases), 4, 4))
-    for blocks in zip(*sources):
-        flat = [block.reshape(-1, 4) for block in blocks]
-        for k, (a, b) in enumerate(pairs):
-            grams[k] += flat[a].T @ flat[b]
-    volume = qplan.w1.step * qplan.w2.step * plans[0].u1.step * plans[0].u2.step
-    results = []
-    for (f, g, phi, psi), gram in zip(cases, grams):
-        ip_fg = inner_product(f, g)
-        ip_pp = inner_product(phi, psi)
-        results.append(MoyalResult(lhs=_conj_product_sum(gram) * volume,
-                                   rhs=qmul(ip_fg, ip_pp), rhs_reversed=qmul(ip_pp, ip_fg)))
-    return results
-
-
-def moyal_check(f, g, phi, psi, qplan: QolctPlan, route="via_qolct") -> MoyalResult:
-    return _moyal_results(qplan, [(f, g, phi, psi)], route)[0]
+    fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
+                                                      qplan.ax1, qplan.ax2, win, stride=1),
+                              route)
+              for sig, win in ((f, phi), (g, psi))]
+    gram = np.zeros((4, 4))
+    for a, b in zip(fields[0].rows(), fields[1].rows()):
+        gram += a.reshape(-1, 4).T @ b.reshape(-1, 4)
+    ip_fg = inner_product(f, g)
+    ip_pp = inner_product(phi, psi)
+    return MoyalResult(lhs=_conj_product_sum(gram) * fields[0].cell_volume,
+                       rhs=qmul(ip_fg, ip_pp), rhs_reversed=qmul(ip_pp, ip_fg))
 
 
 class _Reconstruction:

@@ -23,7 +23,7 @@ from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
 from .specialfn import digamma, gamma
-from .stqolct import (StqolctField, StqolctPlan, _FieldSums, _stream, modified_signal,
+from .stqolct import (StqolctField, StqolctPlan, _FieldSums, modified_signal,
                       stqolct_forward)
 
 __all__ = [
@@ -117,14 +117,10 @@ def field_w_energy_map(field: StqolctField) -> EnergyMap:
 
 
 def _w_marginal(f, plan, route, field, marginal) -> EnergyMap:
-    # The marginal a check was handed, else that of its field, else one
-    # streamed from f (no dense field on the fast route).
+    # The marginal a check was handed, else that of its field, else that
+    # of the field built from f.
     if marginal is not None:
         return marginal
-    if field is None and route == "via_qolct":
-        sums = _FieldSums.for_plan(plan)
-        _stream(f, plan, sums)
-        return _marginal_map(sums)
     if field is None:
         field = stqolct_forward(f, plan, route)
     return field_w_energy_map(field)
