@@ -221,9 +221,15 @@ def load_field(path):
         amin, astep = axis_vals[2 * k], axis_vals[2 * k + 1]
         _check_axis(path, 24 + 16 * k, amin, astep)
         axes.append(Axis(n, amin, astep))
-    p = values[14:26]
-    params1 = OlctParams(*p[:6])
-    params2 = OlctParams(*p[6:])
+    params = []
+    for k in range(2):
+        try:
+            params.append(OlctParams(*values[14 + 6 * k:20 + 6 * k]))
+        except ParameterError as exc:
+            # offset is that of the sextet's first value
+            raise FormatError(f"{path}: bad parameter sextet: {exc}",
+                              offset=88 + 48 * k) from None
+    params1, params2 = params
     count = counts[0] * counts[1] * counts[2] * counts[3] * 4
     data = _read_payload(path, size, _QTF4_HEADER.size, count)
     return StqolctField(

@@ -13,10 +13,13 @@ unit Plancherel constant.  The Fourier kernel pair is the special case
 factors; setting p = q = 0 gives the plain linear canonical kernels.
 
 ``mode="direct"`` is the sandwiched-kernel Riemann sum with Hamilton
-products.  ``mode="fast"`` factors each kernel into an input chirp, a
-pure Fourier phase in x*w/b, and an output chirp, and reuses the fast
-QFT engine on the rescaled frequency w/b (reversed index order when
-b < 0, since the frequency grid is centered).
+products; it is the oracle the fast mode is tested against.
+``mode="fast"`` factors each kernel into an input chirp, a pure Fourier
+phase in x*w/b, and an output prefactor, and runs the split-channel
+engine of ``qft`` with the chirps and prefactors as its 1-D profiles
+(``_channel_planes``).  The Fourier phase runs on the canonical grid
+nu = w/b; for b < 0 that grid is the centered output grid reversed, and
+the reversal is the DFT's exponent sign.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .grid import Axis, GridSignal2D, frequency_axis
-from .qft import _axis_apply_fast, check_reciprocal
-from .quaternion import cayley_join, cayley_split, qconj, qmatmul, unit_exp
+from .qft import _check_mode, _phase_planes, _transform, check_reciprocal
+from .quaternion import qconj, qmatmul, unit_exp
 
 __all__ = ["OlctParams", "QolctPlan", "kernel_left", "kernel_right",
            "qolct_forward", "qolct_inverse"]
@@ -146,120 +149,36 @@ def _complex_profiles(plan):
     return chirp1, chirp2, pre1, pre2
 
 
-def _flip_w(arr, plan):
-    # The Fourier engine fills the canonical grid w/b; for negative b the
-    # node order reverses.  Grid axes are the last two.
-    if plan.params1.b < 0:
-        arr = arr[..., ::-1, :]
-    if plan.params2.b < 0:
-        arr = arr[..., :, ::-1]
-    return arr
+def _channel_planes(plan: QolctPlan, inverse=False):
+    """The plan's phase planes for the split-channel engine (``qft._phase_planes``).
+
+    The chirps, kernel prefactors and |b| weights are the 1-D profiles.
+    The transform runs on the canonical grid nu = w/b, which for negative
+    b runs over the centered grid backwards; the reversal folds into the
+    DFT exponent sign, since exp(-i x w/b) at reversed nodes is
+    exp(+i x nu) at forward ones.
+    """
+    chirp1, chirp2, pre1, pre2 = _complex_profiles(plan)
+    spatial = (plan.ax1, plan.ax2)
+    canonical = (frequency_axis(plan.ax1), frequency_axis(plan.ax2))
+    sgn = (math.copysign(1.0, plan.params1.b), math.copysign(1.0, plan.params2.b))
+    if inverse:
+        # Sums over w carry dw = |b| dnu per axis.
+        weight = abs(plan.params1.b * plan.params2.b)
+        return _phase_planes(canonical, spatial, sgn, (pre1.conj(), pre2.conj()),
+                             (chirp1.conj() * weight, chirp2.conj()))
+    return _phase_planes(spatial, canonical, (-sgn[0], -sgn[1]), (chirp1, chirp2),
+                         (pre1, pre2))
 
 
 def qolct_forward_batch(data, plan: QolctPlan):
-    """Fast forward transform of a (..., n1, n2, 4) stack."""
-    chirp1, chirp2, pre1, pre2 = _complex_profiles(plan)
-    za, zb = cayley_split(data)
-    p = za + 1j * zb
-    m = za - 1j * zb
-    p *= chirp1[:, None] * chirp2[None, :]
-    m *= chirp1[:, None] * chirp2[None, :].conj()
-    nu1 = frequency_axis(plan.ax1)
-    nu2 = frequency_axis(plan.ax2)
-    p = _axis_apply_fast(p, plan.ax1, nu1, -1, axis=-2)
-    p = _axis_apply_fast(p, plan.ax2, nu2, -1, axis=-1)
-    m = _axis_apply_fast(m, plan.ax1, nu1, -1, axis=-2)
-    m = _axis_apply_fast(m, plan.ax2, nu2, +1, axis=-1)
-    p = _flip_w(p, plan) * (pre1[:, None] * pre2[None, :])
-    m = _flip_w(m, plan) * (pre1[:, None] * pre2[None, :].conj())
-    return cayley_join((p + m) / 2.0, (p - m) / 2.0j)
+    """Fast forward transform of an (n1, n2, 4) array."""
+    return _transform(data, _channel_planes(plan))
 
 
 def qolct_inverse_batch(data, plan: QolctPlan):
-    """Fast inverse transform of a (..., nw1, nw2, 4) stack."""
-    chirp1, chirp2, pre1, pre2 = _complex_profiles(plan)
-    za, zb = cayley_split(data)
-    p = za + 1j * zb
-    m = za - 1j * zb
-    p *= pre1.conj()[:, None] * pre2.conj()[None, :]
-    m *= pre1.conj()[:, None] * pre2[None, :]
-    p = _flip_w(p, plan)
-    m = _flip_w(m, plan)
-    nu1 = frequency_axis(plan.ax1)
-    nu2 = frequency_axis(plan.ax2)
-    # Sums over w carry dw = |b| dnu per axis.
-    weight = abs(plan.params1.b * plan.params2.b)
-    p = _axis_apply_fast(p, nu1, plan.ax1, +1, axis=-2)
-    p = _axis_apply_fast(p, nu2, plan.ax2, +1, axis=-1) * weight
-    m = _axis_apply_fast(m, nu1, plan.ax1, +1, axis=-2)
-    m = _axis_apply_fast(m, nu2, plan.ax2, -1, axis=-1) * weight
-    p *= chirp1.conj()[:, None] * chirp2.conj()[None, :]
-    m *= chirp1.conj()[:, None] * chirp2[None, :]
-    return cayley_join((p + m) / 2.0, (p - m) / 2.0j)
-
-
-def _twiddles(src: Axis, dst: Axis, sign):
-    # sum_k exp(sign*i*dst_r*src_k) a_k src.step = post_r * DFT_sign(pre * a)_r
-    k = np.arange(src.n)
-    pre = np.exp(sign * 1j * dst.min * src.step * k)
-    post = np.exp(sign * 1j * dst.coords * src.min) * src.step
-    return pre, post
-
-
-def _channel_planes(plan: QolctPlan, inverse=False):
-    """Phase planes of the fast transform, one set per Cayley channel.
-
-    Returns ``((in_p, out_p, signs_p), (in_m, out_m, signs_m))``: channel
-    c transforms as ``out_c * dft2(in_c * x, signs_c)`` (see ``_dft2``).
-    The chirps, FFT twiddles, kernel prefactors and |b| weights fold into
-    the (n1, n2) planes.  The node reversal for negative b folds into the
-    DFT exponent sign: w/b runs over the centered grid backwards, and
-    exp(-i x w/b) at reversed nodes is exp(+i x nu) at forward ones.
-    """
-    chirp1, chirp2, pre1, pre2 = _complex_profiles(plan)
-    nu1 = frequency_axis(plan.ax1)
-    nu2 = frequency_axis(plan.ax2)
-    sgn1 = math.copysign(1.0, plan.params1.b)
-    sgn2 = math.copysign(1.0, plan.params2.b)
-    channels = []
-    # The right j-complex factors reach the p channel as e^(+i..) and the
-    # m channel as e^(-i..).
-    for chirp2_c, pre2_c, sigma in ((chirp2, pre2, 1.0), (chirp2.conj(), pre2.conj(), -1.0)):
-        chirp = chirp1[:, None] * chirp2_c[None, :]
-        pre = pre1[:, None] * pre2_c[None, :]
-        if inverse:
-            signs = (sgn1, sigma * sgn2)
-            axes = ((nu1, plan.ax1), (nu2, plan.ax2))
-            # Sums over w carry dw = |b| dnu per axis.
-            head, tail = pre.conj(), chirp.conj() * abs(plan.params1.b * plan.params2.b)
-        else:
-            signs = (-sgn1, -sigma * sgn2)
-            axes = ((plan.ax1, nu1), (plan.ax2, nu2))
-            head, tail = chirp, pre
-        tw1 = _twiddles(*axes[0], signs[0])
-        tw2 = _twiddles(*axes[1], signs[1])
-        channels.append((head * (tw1[0][:, None] * tw2[0][None, :]),
-                         tail * (tw1[1][:, None] * tw2[1][None, :]), signs))
-    return tuple(channels)
-
-
-def _dft2(x, signs):
-    """In-place unscaled DFT over the first two axes of a complex array.
-
-    ``signs`` are the exponent signs for axes 0 and 1: -1 is numpy's
-    forward FFT, +1 its inverse without the 1/n.
-    """
-    for axis, sign in ((1, signs[1]), (0, signs[0])):
-        if sign < 0:
-            np.fft.fft(x, axis=axis, out=x)
-        else:
-            np.fft.ifft(x, axis=axis, norm="forward", out=x)
-    return x
-
-
-def _check_mode(mode):
-    if mode not in ("direct", "fast"):
-        raise ParameterError(f"mode must be 'direct' or 'fast', got {mode!r}")
+    """Fast inverse transform of an (nw1, nw2, 4) array."""
+    return _transform(data, _channel_planes(plan, inverse=True))
 
 
 def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D:
@@ -268,6 +187,7 @@ def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D
     if f.ax1 != plan.ax1 or f.ax2 != plan.ax2:
         raise ShapeError("signal axes do not match the plan's spatial axes")
     if mode == "direct":
+        # the oracle: kernel quadrature with Hamilton products
         kl = kernel_left(plan.params1, plan.ax1.coords[None, :], plan.w1.coords[:, None])
         kr = kernel_right(plan.params2, plan.ax2.coords[:, None], plan.w2.coords[None, :])
         data = qmatmul(kl, qmatmul(f.data, kr)) * f.cell_area
@@ -282,6 +202,7 @@ def qolct_inverse(F: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D
     if F.ax1 != plan.w1 or F.ax2 != plan.w2:
         raise ShapeError("signal axes do not match the plan's output axes")
     if mode == "direct":
+        # the oracle: kernel quadrature with Hamilton products
         kl = qconj(kernel_left(plan.params1, plan.ax1.coords[:, None],
                                plan.w1.coords[None, :]))
         kr = qconj(kernel_right(plan.params2, plan.ax2.coords[None, :],

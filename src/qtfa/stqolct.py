@@ -23,10 +23,11 @@ The row engine works in Cayley channel form throughout.  Signal and
 window are split once into their p/m channels; the product f * conj(phi)
 is then, per cell, a 2x2 complex matrix of window planes applied to the
 signal channels.  The window planes are zero-padded once, so the planes of
-every translation are slices of one ``sliding_window_view``, and the
-QOLCT's chirps, twiddles, prefactors and negative-b flip are folded into
-per-channel phase planes (``qolct._channel_planes``).  The engine yields
-the field one u1 row at a time as a (nw1, nw2, nu2, 4) block.
+every translation are slices of one ``sliding_window_view``.  The QOLCT
+then runs on the channels through the split-channel engine of ``qft``:
+its phase planes (``qolct._channel_planes``), ``_dft2`` and the channel
+join.  The engine yields the field one u1 row at a time as a
+(nw1, nw2, nu2, 4) block.
 
 Everything downstream consumes rows: ``stqolct_forward`` copies them into
 the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1),
@@ -48,9 +49,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .grid import Axis, GridSignal2D, inner_product, l2_norm, translate_window
-from .qft import QftPlan, qft_forward
-from .qolct import (OlctParams, QolctPlan, _channel_planes, _dft2, qolct_forward,
-                    qolct_inverse)
+from .qft import (QftPlan, _check_mode, _dft2, _join_channels, _split_channels,
+                  qft_forward)
+from .qolct import OlctParams, QolctPlan, _channel_planes, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, unit_exp
 
 __all__ = [
@@ -163,12 +164,6 @@ def _check_signal(f, plan):
         raise ShapeError("signal axes do not match the plan's spatial axes")
 
 
-def _cayley_channels(data):
-    """(p, m) = (za + i zb, za - i zb) for q = za + zb j, over the last axis."""
-    q0, q1, q2, q3 = (data[..., c] for c in range(4))
-    return (q0 - q3) + 1j * (q1 + q2), (q0 + q3) + 1j * (q1 - q2)
-
-
 def _window_matrix(plan):
     """Per-cell 2x2 channel matrix of g = f * conj(phi), as four planes.
 
@@ -176,7 +171,7 @@ def _window_matrix(plan):
     the channels (f_p, f_m) of f.  Its conjugate transpose applies
     g * phi, which is what reconstruction needs.
     """
-    phi_p, phi_m = _cayley_channels(plan.window.data)
+    phi_p, phi_m = _split_channels(plan.window.data)
     return np.stack([phi_m + phi_p.conj(), phi_m.conj() - phi_p,
                      phi_p.conj() - phi_m, phi_m.conj() + phi_p]) / 2.0
 
@@ -214,12 +209,11 @@ def _rows(f: GridSignal2D, plan: StqolctPlan):
     """
     _check_signal(f, plan)
     (in_p, out_p, signs_p), (in_m, out_m, signs_m) = _channel_planes(plan.qolct)
-    f_p, f_m = _cayley_channels(f.data[:, :, None])
+    f_p, f_m = _split_channels(f.data[:, :, None])
     src_p = (in_p[:, :, None] * f_p, in_p[:, :, None] * f_m)
     src_m = (in_m[:, :, None] * f_p, in_m[:, :, None] * f_m)
-    # The Cayley join halves p + m and p - m; fold the 1/2 in here.
-    out_p = out_p[:, :, None] / 2.0
-    out_m = out_m[:, :, None] / 2.0
+    out_p = out_p[:, :, None]
+    out_m = out_m[:, :, None]
     windows = _Translations(plan, _window_matrix(plan))
     # Channels are laid out (w1, w2, u2) like the block, with the
     # translations of a row as the fastest axis.
@@ -237,12 +231,7 @@ def _rows(f: GridSignal2D, plan: StqolctPlan):
         _dft2(m, signs_m)
         p *= out_p
         m *= out_m
-        # q = za + zb j with za = (p + m)/2 and zb = (p - m)/2i
-        np.add(p.real, m.real, out=block[..., 0])
-        np.add(p.imag, m.imag, out=block[..., 1])
-        np.subtract(p.imag, m.imag, out=block[..., 2])
-        np.subtract(m.real, p.real, out=block[..., 3])
-        yield block
+        yield _join_channels(p, m, out=block)
 
 
 def _feed(rows, *reducers):
@@ -258,8 +247,10 @@ def _stream(f: GridSignal2D, plan: StqolctPlan, *reducers):
 
 
 def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
-    # Reduction to the QFT: chirp in x, transform, rescale the frequency
-    # argument to w/b, then the closed-form output phases.
+    # An oracle, kept apart from the engine's profiles on purpose: the
+    # reduction to the QFT in Hamilton form.  Chirp in x, transform,
+    # rescale the frequency argument to w/b (reversing the nodes for
+    # negative b), then the closed-form output phases.
     p1, p2 = qplan.params1, qplan.params2
     x1, x2 = qplan.ax1.coords, qplan.ax2.coords
     c1 = unit_exp("i", (p1.a * x1 * x1 / 2.0 + x1 * p1.p) / p1.b)
@@ -424,41 +415,30 @@ class _Reconstruction:
         if plan.stride != 1:
             raise ParameterError("reconstruction requires a stride-1 translation grid")
         self._plan = plan
-        (self._in_p, self._out_p, self._signs_p), \
-            (self._in_m, self._out_m, self._signs_m) = _channel_planes(plan.qolct,
-                                                                       inverse=True)
+        self._planes = _channel_planes(plan.qolct, inverse=True)
         w_pp, w_pm, w_mp, w_mm = _window_matrix(plan).conj()
         self._windows = _Translations(plan, np.stack([w_pp, w_mp, w_pm, w_mm]))
-        n1, n2 = plan.ax1.n, plan.ax2.n
-        self._p = np.empty((n1, n2, plan.u2.n), dtype=complex)
-        self._m = np.empty_like(self._p)
         # sums over u of p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)
-        self._acc = np.zeros((4, n1, n2), dtype=complex)
+        self._acc = np.zeros((4, plan.ax1.n, plan.ax2.n), dtype=complex)
 
     def add(self, i1, block):
-        p, m = self._p, self._m
-        np.subtract(block[..., 0], block[..., 3], out=p.real)
-        np.add(block[..., 1], block[..., 2], out=p.imag)
-        np.add(block[..., 0], block[..., 3], out=m.real)
-        np.subtract(block[..., 1], block[..., 2], out=m.imag)
-        p *= self._in_p[:, :, None]
-        m *= self._in_m[:, :, None]
-        _dft2(p, self._signs_p)
-        _dft2(m, self._signs_m)
+        p, m = _split_channels(block)
+        for chan, (head, _, signs) in zip((p, m), self._planes):
+            chan *= head[:, :, None]
+            _dft2(chan, signs)
         w = self._windows.row(i1)
         for k, chan in enumerate((p, m, p, m)):
             self._acc[k] += np.einsum("klu,klu->kl", chan, w[k])
 
     def result(self) -> GridSignal2D:
         plan = self._plan
+        (_, out_p, _), (_, out_m, _) = self._planes
         acc = self._acc
-        rec_p = self._out_p * acc[0] + self._out_m * acc[1]
-        rec_m = self._out_p * acc[2] + self._out_m * acc[3]
-        # the Cayley join's 1/2 and the translation average du / ||phi||^2
-        scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2 / 2.0
-        data = np.stack([rec_p.real + rec_m.real, rec_p.imag + rec_m.imag,
-                         rec_p.imag - rec_m.imag, rec_m.real - rec_p.real], axis=-1)
-        return GridSignal2D(plan.ax1, plan.ax2, data * scale)
+        rec_p = out_p * acc[0] + out_m * acc[1]
+        rec_m = out_p * acc[2] + out_m * acc[3]
+        # the translation average du / ||phi||^2
+        scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2
+        return GridSignal2D(plan.ax1, plan.ax2, _join_channels(rec_p, rec_m) * scale)
 
 
 def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:
@@ -468,8 +448,7 @@ def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:
     the translated window, and averages over translations with the
     window's squared norm.
     """
-    if mode not in ("direct", "fast"):
-        raise ParameterError(f"mode must be 'direct' or 'fast', got {mode!r}")
+    _check_mode(mode)
     plan = field.plan
     if plan is None:
         raise ParameterError(

@@ -46,6 +46,28 @@ UNGATED_CHECKS = frozenset({
     "moyal-general",
 })
 
+#: records of the streamed per-set field pass (identities need stride 1)
+_FIELD_CHECKS = ("boundedness", "energy", "isometry", "reconstruction", "donoho-stark",
+                 "donoho-stark-support", "pitt", "pitt-equality", "log-up-literal",
+                 "log-up-derivative", "hardy-field")
+
+#: every record name, by the task that emits it: the one table behind
+#: --only; task labels are a key, or a key and a parameter set name
+_CHECKS = {
+    "quat-algebra": ("quat-table", "quat-norm-multiplicative",
+                     "quat-conj-antiautomorphism", "quat-scalar-cyclic"),
+    "special-fn": ("gamma-half", "gamma-recurrence", "log-up-constant",
+                   "pitt-constant-zero", "pitt-constant-continuity"),
+    "qft": ("qft-plancherel", "qft-roundtrip", "qft-oracle"),
+    "hardy": ("hardy-qft", "hardy-chirp"),
+    "params": ("qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes",
+               *_FIELD_CHECKS, "moyal-shared-window", "moyal-shared-signal",
+               "moyal-general"),
+    "beurling": ("beurling-value", "beurling-monotone"),
+}
+
+_KNOWN_CHECKS = frozenset(name for names in _CHECKS.values() for name in names)
+
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -371,9 +393,7 @@ def _check_param_set(config, pset, selected):
         results.append(_below("stqolct-routes", {"set": name, "n": config.oracle_n,
                                                  "stride": 4}, worst, 0.0, 1e-9))
 
-    field_checks = ("boundedness", "energy", "isometry", "reconstruction",
-                    "donoho-stark", "pitt", "pitt-equality", "log-up", "hardy-field")
-    if want(*field_checks):
+    if want(*_FIELD_CHECKS):
         window = gaussian_signal(ax1, ax2, config.window_alpha)
         plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=config.stride)
         f = gaussian_signal(ax1, ax2, 1.0)
@@ -404,6 +424,7 @@ def _check_param_set(config, pset, selected):
             if want("donoho-stark"):
                 for eps in config.eps:
                     results.append(donoho_stark_check(f, plan, eps, eps, marginal=marginal))
+            if want("donoho-stark-support"):
                 results.append(_donoho_stark_corollary(config, plan, name))
             if want("pitt", "pitt-equality"):
                 for alpha in config.pitt_alphas:
@@ -413,7 +434,7 @@ def _check_param_set(config, pset, selected):
                     if alpha == 0.0:
                         results.append(_close("pitt-equality", {"set": name},
                                               res.lhs, res.rhs, 1e-3))
-            if want("log-up"):
+            if want("log-up-literal", "log-up-derivative"):
                 literal, derivative = log_up_check(f, plan, marginal=marginal)
                 literal.params["set"] = name
                 derivative.params["set"] = name
@@ -421,7 +442,7 @@ def _check_param_set(config, pset, selected):
             if want("hardy-field"):
                 results.extend(_hardy_field(config, plan, slices.slices, name))
 
-    if want("moyal", "moyal-shared-window", "moyal-shared-signal", "moyal-general"):
+    if want("moyal-shared-window", "moyal-shared-signal", "moyal-general"):
         results.extend(_check_moyal(config, pset))
     return results
 
@@ -510,7 +531,11 @@ def _max_workers():
 
 
 def run_verification(config: RunConfig, only=None):
-    """Run the corpus and return results in deterministic task order."""
+    """Run the corpus and return results in deterministic task order.
+
+    Every name in ``only`` must be a registered check and must yield at
+    least one record; otherwise the run is a ParameterError.
+    """
     selected = set(only) if only else None
     if selected is not None:
         unknown = selected - _KNOWN_CHECKS
@@ -528,7 +553,8 @@ def run_verification(config: RunConfig, only=None):
         tasks.append((f"beurling:{pset[0]}", lambda p=pset: _check_beurling(config, p)))
 
     if selected is not None:
-        tasks = [t for t in tasks if _task_selected(t[0], selected)]
+        tasks = [t for t in tasks
+                 if not selected.isdisjoint(_CHECKS[t[0].split(":", 1)[0]])]
 
     results = []
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
@@ -536,38 +562,12 @@ def run_verification(config: RunConfig, only=None):
             results.extend(chunk)
     if selected is not None:
         results = [r for r in results if r.name in selected]
+        empty = selected - {r.name for r in results}
+        if empty:
+            # a selected check with no record would certify nothing
+            raise ParameterError(f"selected checks produced no records: {sorted(empty)} "
+                                 "(check the config lists they read)")
     return results
-
-
-_TASK_GROUPS = {
-    "quat-algebra": {"quat-table", "quat-norm-multiplicative",
-                     "quat-conj-antiautomorphism", "quat-scalar-cyclic"},
-    "special-fn": {"gamma-half", "gamma-recurrence", "log-up-constant",
-                   "pitt-constant-zero", "pitt-constant-continuity"},
-    "qft": {"qft-plancherel", "qft-roundtrip", "qft-oracle"},
-    "hardy": {"hardy-qft", "hardy-chirp"},
-}
-
-_PARAM_GROUP = {"qolct-plancherel", "qolct-roundtrip", "qolct-oracle",
-                "stqolct-routes", "boundedness", "energy", "isometry",
-                "reconstruction", "donoho-stark", "donoho-stark-support",
-                "pitt", "pitt-equality", "log-up-literal", "log-up-derivative",
-                "log-up", "moyal", "moyal-shared-window", "moyal-shared-signal",
-                "moyal-general", "hardy-field"}
-
-_BEURLING_GROUP = {"beurling-value", "beurling-monotone", "beurling"}
-
-_KNOWN_CHECKS = set().union(*_TASK_GROUPS.values(), _PARAM_GROUP, _BEURLING_GROUP)
-
-
-def _task_selected(label, selected):
-    if label in _TASK_GROUPS:
-        return bool(_TASK_GROUPS[label] & selected)
-    if label.startswith("params:"):
-        return bool(_PARAM_GROUP & selected)
-    if label.startswith("beurling:"):
-        return bool(_BEURLING_GROUP & selected)
-    return True
 
 
 def gated_failures(results):

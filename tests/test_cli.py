@@ -193,6 +193,15 @@ class TestVerify:
                    "--out", report) == 2
         assert not report.exists()
 
+    def test_only_name_without_records_exits_2(self, tmp_path):
+        # --only pitt with no pitt alphas used to write 0 checks and exit 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 16, "pitt_alphas": []}))
+        report = tmp_path / "r.jsonl"
+        assert run("verify", "--config", config, "--only", "pitt",
+                   "--out", report) == 2
+        assert not report.exists()
+
     def test_zero_oracle_trials_exits_2(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"n": 16, "oracle_trials": 0}))

@@ -182,3 +182,20 @@ class TestQtf4:
         with pytest.raises(FormatError) as err:
             load_field(path)
         assert err.value.offset == 184 + 8 * 11
+
+    @pytest.mark.parametrize("offset, value, sextet", [
+        (96, 0.0, 88),                # params1.b = 0
+        (88, 2.0, 88),                # params1.a: det != 1
+        (136 + 8 * 5, float("nan"), 136),  # params2.q non-finite
+        (136 + 8, 0.0, 136),          # params2.b = 0
+    ])
+    def test_invalid_sextet_reports_offset(self, field, tmp_path, offset, value, sextet):
+        # a sextet the transform rejects is a format error at that sextet
+        path = tmp_path / "s.qtf4"
+        save_field(field, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            load_field(path)
+        assert err.value.offset == sextet

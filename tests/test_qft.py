@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_signal
+from conftest import random_signal, rectangular_axes
 from qtfa import (Axis, GridSignal2D, QftPlan, component_modulus, gaussian_signal,
                   chirp_signal, impulse_signal, l2_norm, pointwise_mul, qft_forward,
                   qft_inverse, qft_modulus, qmul, quat, unit_exp)
@@ -203,3 +204,15 @@ def test_rectangular_grid():
     assert np.max(np.abs(direct.data - fast.data)) < 1e-12
     back = qft_inverse(fast, plan)
     assert np.max(np.abs(back.data - f.data)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(axes=rectangular_axes(), seed=st.integers(0, 2**32 - 2))
+def test_fast_matches_direct_property(axes, seed):
+    plan = QftPlan.for_axes(*axes)
+    f = random_signal(*axes, seed=seed)
+    F = random_signal(plan.w1, plan.w2, seed=seed + 1)
+    assert np.max(np.abs(qft_forward(f, plan, "fast").data
+                         - qft_forward(f, plan, "direct").data)) < 1e-9
+    assert np.max(np.abs(qft_inverse(F, plan, "fast").data
+                         - qft_inverse(F, plan, "direct").data)) < 1e-9

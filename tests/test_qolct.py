@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_signal
+from conftest import random_signal, rectangular_axes, sextets
 from qtfa import (Axis, GridSignal2D, OlctParams, QftPlan, QolctPlan,
                   gaussian_signal, impulse_signal, kernel_left, kernel_right,
                   l2_norm, qft_forward, qmul, qnorm, qolct_forward, qolct_inverse,
@@ -195,3 +196,17 @@ def test_output_axes_use_scaled_reciprocity(small_axes):
         2 * np.pi * abs(MIXED.b), rel=1e-12)
     assert plan.w2.step * ax2.step * ax2.n == pytest.approx(
         2 * np.pi * abs(NEG_B.b), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params1=sextets(), params2=sextets(), axes=rectangular_axes(),
+       seed=st.integers(0, 2**32 - 2))
+def test_fast_matches_direct_property(params1, params2, axes, seed):
+    # b < 0, |b| down to 0.05, rectangular and uncentered grids
+    plan = QolctPlan.for_axes(params1, params2, *axes)
+    f = random_signal(*axes, seed=seed)
+    F = random_signal(plan.w1, plan.w2, seed=seed + 1)
+    assert np.max(np.abs(qolct_forward(f, plan, "fast").data
+                         - qolct_forward(f, plan, "direct").data)) < 1e-9
+    assert np.max(np.abs(qolct_inverse(F, plan, "fast").data
+                         - qolct_inverse(F, plan, "direct").data)) < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_signal
+from conftest import random_signal, sextets
 from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   chirp_signal, coefficient_slice, gaussian_signal,
                   impulse_signal, l2_norm, modified_signal,
@@ -321,16 +321,6 @@ def test_inversion_consistency_per_slice():
 
 
 # -- the row engine ---------------------------------------------------------
-
-@st.composite
-def sextets(draw):
-    # a, d free; c solves a*d - b*c = 1; b of either sign, down to small |b|
-    b = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
-    a = draw(st.floats(-2.0, 2.0))
-    d = draw(st.floats(-2.0, 2.0))
-    p, q = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
-    return OlctParams(a, b, (a * d - 1.0) / b, d, p, q)
-
 
 @st.composite
 def rectangular_grids(draw):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qtfa.errors import ParameterError
-from qtfa.verify import (RunConfig, UNGATED_CHECKS, default_config_dict,
+from qtfa.verify import (_KNOWN_CHECKS, RunConfig, UNGATED_CHECKS, default_config_dict,
                          format_report_table, gated_failures, load_report,
                          run_verification, write_report)
 
@@ -65,6 +65,34 @@ class TestRunVerification:
         # a filter that matches nothing used to run 0 checks and pass
         with pytest.raises(ParameterError):
             run_verification(small_config(), only=["donoho-stark", "no-such-check"])
+
+    def test_registry_is_the_set_of_emitted_names(self):
+        results = run_verification(small_config())
+        assert {r.name for r in results} == _KNOWN_CHECKS
+
+    @pytest.mark.parametrize("name", sorted(_KNOWN_CHECKS))
+    def test_only_selects_every_emitted_name(self, name):
+        # log-up-literal, log-up-derivative and donoho-stark-support used
+        # to match no task and yield 0 records
+        results = run_verification(small_config(), only=[name])
+        assert results
+        assert {r.name for r in results} == {name}
+
+    @pytest.mark.parametrize("alias", ["moyal", "log-up", "beurling"])
+    def test_names_no_record_carries_are_unknown(self, alias):
+        with pytest.raises(ParameterError, match="unknown check names"):
+            run_verification(small_config(), only=[alias])
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"pitt_alphas": []}, "pitt"),
+        ({"pitt_alphas": [0.5]}, "pitt-equality"),
+        ({"eps": []}, "donoho-stark"),
+        ({"stride": 2}, "energy"),
+    ])
+    def test_selected_check_without_records_rejected(self, overrides, name):
+        # a selected check that yields no record would certify nothing
+        with pytest.raises(ParameterError, match="produced no records"):
+            run_verification(small_config(**overrides), only=[name])
 
     def test_default_corpus_record_order(self):
         head = (["quat-table", "quat-norm-multiplicative", "quat-conj-antiautomorphism",
