@@ -31,7 +31,7 @@ def main():
 
     print("\nsupport-area product bound at several concentration levels:")
     for eps in (0.0, 0.1, 0.25):
-        show(donoho_stark_check(f, plan, eps, eps, field=field))
+        show(donoho_stark_check(f, plan, eps, eps, marginal=marginal))
 
     print("\nweighted-norm inequality sweep (equality at alpha = 0):")
     for alpha in (0.0, 0.25, 0.5, 1.0, 1.5):

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .grid import Axis, GridSignal2D, frequency_axis
-from .qft import _check_mode, _phase_planes, _transform, check_reciprocal
+from .qft import (_check_mode, _check_signal_axes, _phase_planes, _transform,
+                  check_reciprocal)
 from .quaternion import qconj, qmatmul, unit_exp
 
 __all__ = ["OlctParams", "QolctPlan", "kernel_left", "kernel_right",
@@ -184,8 +185,7 @@ def qolct_inverse_batch(data, plan: QolctPlan):
 def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D:
     """Transform onto the plan's output grid."""
     _check_mode(mode)
-    if f.ax1 != plan.ax1 or f.ax2 != plan.ax2:
-        raise ShapeError("signal axes do not match the plan's spatial axes")
+    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = kernel_left(plan.params1, plan.ax1.coords[None, :], plan.w1.coords[:, None])
@@ -199,8 +199,7 @@ def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D
 def qolct_inverse(F: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D:
     """Inverse transform with the conjugate kernel pair and dw weights."""
     _check_mode(mode)
-    if F.ax1 != plan.w1 or F.ax2 != plan.w2:
-        raise ShapeError("signal axes do not match the plan's output axes")
+    _check_signal_axes(F, plan.w1, plan.w2, "output")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = qconj(kernel_left(plan.params1, plan.ax1.coords[:, None],

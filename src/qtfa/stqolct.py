@@ -49,8 +49,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
 from .grid import Axis, GridSignal2D, inner_product, l2_norm, translate_window
-from .qft import (QftPlan, _check_mode, _dft2, _join_channels, _split_channels,
-                  qft_forward)
+from .qft import (QftPlan, _check_mode, _check_signal_axes, _dft2, _join_channels,
+                  _split_channels, qft_forward)
 from .qolct import OlctParams, QolctPlan, _channel_planes, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, unit_exp
 
@@ -159,11 +159,6 @@ def _check_route(route):
         raise ParameterError(f"route must be one of {_ROUTES}, got {route!r}")
 
 
-def _check_signal(f, plan):
-    if f.ax1 != plan.ax1 or f.ax2 != plan.ax2:
-        raise ShapeError("signal axes do not match the plan's spatial axes")
-
-
 def _window_matrix(plan):
     """Per-cell 2x2 channel matrix of g = f * conj(phi), as four planes.
 
@@ -207,7 +202,7 @@ def _rows(f: GridSignal2D, plan: StqolctPlan):
     Yields a (nw1, nw2, nu2, 4) block per translation row i1.  The block
     buffer is reused: a consumer copies what it keeps past its turn.
     """
-    _check_signal(f, plan)
+    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     (in_p, out_p, signs_p), (in_m, out_m, signs_m) = _channel_planes(plan.qolct)
     f_p, f_m = _split_channels(f.data[:, :, None])
     src_p = (in_p[:, :, None] * f_p, in_p[:, :, None] * f_m)
@@ -277,7 +272,7 @@ def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
 def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> StqolctField:
     """Coefficient field S(w, u) over the full translation grid."""
     _check_route(route)
-    _check_signal(f, plan)
+    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     qplan = plan.qolct
     out = np.empty((qplan.w1.n, qplan.w2.n, plan.u1.n, plan.u2.n, 4))
     if route == "via_qolct":
@@ -383,7 +378,7 @@ def _conj_product_sum(gram):
                      g[3, 0] - g[0, 3] + g[2, 1] - g[1, 2]])
 
 
-def moyal_check(f, g, phi, psi, qplan: QolctPlan, route="via_qolct") -> MoyalResult:
+def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
     """Both sides of the Moyal identity for S_f^phi and S_g^psi.
 
     The left-hand side is the quadrature inner product sum S_f^phi
@@ -391,8 +386,7 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan, route="via_qolct") -> MoyalRes
     from per-row 4x4 component sums.
     """
     fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
-                                                      qplan.ax1, qplan.ax2, win, stride=1),
-                              route)
+                                                      qplan.ax1, qplan.ax2, win, stride=1))
               for sig, win in ((f, phi), (g, psi))]
     gram = np.zeros((4, 4))
     for a, b in zip(fields[0].rows(), fields[1].rows()):

@@ -7,6 +7,13 @@ per-cell energy maps so the same greedy support construction serves the
 spatial grid and the u-integrated frequency marginal of a coefficient
 field.
 
+The Donoho-Stark, Pitt-type and logarithmic checks read the frequency
+side through one input, ``marginal=``: the u-integrated energy map of
+the ST-QOLCT (``field_w_energy_map``, or the marginal of a streamed
+pass).  A marginal off the plan's frequency grid, in shape or cell area,
+is a ShapeError.  Without one, a check builds the dense stride-1 field
+of f and takes its marginal.
+
 Grids are half-bin centered, so no frequency sample sits at w = 0 and
 the |w|^(-alpha) and ln|w| weights are finite at every node; the checks
 verify this rather than excluding cells.
@@ -116,14 +123,20 @@ def field_w_energy_map(field: StqolctField) -> EnergyMap:
     return _marginal_map(_FieldSums.of_field(field))
 
 
-def _w_marginal(f, plan, route, field, marginal) -> EnergyMap:
-    # The marginal a check was handed, else that of its field, else that
-    # of the field built from f.
-    if marginal is not None:
-        return marginal
-    if field is None:
-        field = stqolct_forward(f, plan, route)
-    return field_w_energy_map(field)
+def _w_marginal(f, plan, marginal) -> EnergyMap:
+    """The marginal a check was handed, else that of the field of f."""
+    if marginal is None:
+        # The dense field, not a streamed pass: the benchmark's trace
+        # test counts the fields donoho_stark_check builds.
+        return field_w_energy_map(stqolct_forward(f, plan))
+    w1, w2 = plan.qolct.w1, plan.qolct.w2
+    if (marginal.values.shape != (w1.n, w2.n)
+            or not math.isclose(marginal.cell_area, w1.step * w2.step, rel_tol=1e-12)):
+        raise ShapeError(
+            f"marginal of shape {marginal.values.shape} and cell area "
+            f"{marginal.cell_area} is off the plan's frequency grid "
+            f"{(w1.n, w2.n)} with cell area {w1.step * w2.step}")
+    return marginal
 
 
 def _as_energy_map(obj) -> EnergyMap:
@@ -185,7 +198,6 @@ def _require_stride1(plan):
 
 
 def donoho_stark_check(f: GridSignal2D, plan: StqolctPlan, eps_m: float, eps_n: float,
-                       route="via_qolct", field: StqolctField | None = None,
                        marginal: EnergyMap | None = None) -> InequalityResult:
     """Support-area product bound |M||N| >= 2*pi*|b1*b2|*(1 - eps_M - eps_N)^2."""
     if eps_m < 0 or eps_n < 0 or eps_m + eps_n >= 1.0:
@@ -193,7 +205,7 @@ def donoho_stark_check(f: GridSignal2D, plan: StqolctPlan, eps_m: float, eps_n: 
             f"need eps_m, eps_n >= 0 with eps_m + eps_n < 1, got {eps_m}, {eps_n}")
     _require_stride1(plan)
     m_set = essential_support(f, eps_m)
-    n_set = essential_support(_w_marginal(f, plan, route, field, marginal), eps_n)
+    n_set = essential_support(_w_marginal(f, plan, marginal), eps_n)
     b1b2 = abs(plan.qolct.params1.b * plan.qolct.params2.b)
     lhs = m_set.measure * n_set.measure
     rhs = 2.0 * math.pi * b1b2 * (1.0 - eps_m - eps_n) ** 2
@@ -236,14 +248,13 @@ def _pitt_rhs(f, plan, alpha):
     return pitt_constant(alpha) / (4.0 * math.pi**2 * b1b2**alpha) * win_sq * weighted
 
 
-def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float, route="via_qolct",
-               field: StqolctField | None = None,
+def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float,
                marginal: EnergyMap | None = None) -> InequalityResult:
     """Weighted-norm inequality: |w|^(-alpha) coefficient energy vs |x|^alpha signal energy."""
     if not 0.0 <= alpha < 2.0:
         raise ParameterError(f"alpha must lie in [0, 2), got {alpha}")
     _require_stride1(plan)
-    marginal = _w_marginal(f, plan, route, field, marginal)
+    marginal = _w_marginal(f, plan, marginal)
     w_radii = _frequency_radii(plan)
     lhs = _pitt_lhs(marginal, w_radii, alpha)
     rhs = _pitt_rhs(f, plan, alpha)
@@ -261,9 +272,8 @@ def log_up_constant() -> float:
     return math.log(2.0) + digamma(0.5)
 
 
-def log_up_check(f: GridSignal2D, plan: StqolctPlan, route="via_qolct",
-                 field: StqolctField | None = None,
-                 marginal: EnergyMap | None = None, h: float = 1e-3):
+def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None = None,
+                 h: float = 1e-3):
     """Logarithmic uncertainty bound, two variants.
 
     Returns (literal, derivative): ``literal`` evaluates the printed
@@ -273,7 +283,7 @@ def log_up_check(f: GridSignal2D, plan: StqolctPlan, route="via_qolct",
     The derivative variant is the gated one.
     """
     _require_stride1(plan)
-    marginal = _w_marginal(f, plan, route, field, marginal)
+    marginal = _w_marginal(f, plan, marginal)
     w_radii = _frequency_radii(plan)
     x_radii = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :])
     sig_energy = np.sum(f.data * f.data, axis=-1)

@@ -28,8 +28,8 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .specialfn import gamma
-from .stqolct import (StqolctPlan, _FieldSums, _Reconstruction, _stream, moyal_check,
-                      stqolct_forward)
+from .stqolct import (StqolctPlan, _FieldSums, _Reconstruction, _stream, modified_signal,
+                      moyal_check, stqolct_forward)
 from .uncertainty import (InequalityResult, _marginal_map, beurling_integral,
                           donoho_stark_check, hardy_decay_fit, log_up_check,
                           log_up_constant, pitt_check, pitt_constant)
@@ -48,8 +48,8 @@ UNGATED_CHECKS = frozenset({
 
 #: records of the streamed per-set field pass (identities need stride 1)
 _FIELD_CHECKS = ("boundedness", "energy", "isometry", "reconstruction", "donoho-stark",
-                 "donoho-stark-support", "pitt", "pitt-equality", "log-up-literal",
-                 "log-up-derivative", "hardy-field")
+                 "pitt", "pitt-equality", "log-up-literal", "log-up-derivative",
+                 "hardy-field")
 
 #: every record name, by the task that emits it: the one table behind
 #: --only; task labels are a key, or a key and a parameter set name
@@ -61,8 +61,8 @@ _CHECKS = {
     "qft": ("qft-plancherel", "qft-roundtrip", "qft-oracle"),
     "hardy": ("hardy-qft", "hardy-chirp"),
     "params": ("qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes",
-               *_FIELD_CHECKS, "moyal-shared-window", "moyal-shared-signal",
-               "moyal-general"),
+               *_FIELD_CHECKS, "donoho-stark-support", "moyal-shared-window",
+               "moyal-shared-signal", "moyal-general"),
     "beurling": ("beurling-value", "beurling-monotone"),
 }
 
@@ -323,30 +323,6 @@ def _check_beurling(config, pset):
     return results
 
 
-class _HardySlices:
-    """Coefficient slices at u = 0 and at the energy-maximizing translation.
-
-    Fed after ``sums`` in the same pass, so the per-u energies of a row
-    are known when the row arrives.  Strict improvement keeps the first
-    maximum in row-major order, as ``np.argmax`` would.
-    """
-
-    def __init__(self, plan, sums):
-        self._sums = sums
-        self._zero = (plan.ax1.n // 2 // plan.stride, plan.ax2.n // 2 // plan.stride)
-        self._best = -math.inf
-        self.slices = {}
-
-    def add(self, i1, block):
-        row = self._sums.u_energy[i1]
-        i2 = int(np.argmax(row))
-        if row[i2] > self._best:
-            self._best = row[i2]
-            self.slices["u=max-overlap"] = block[:, :, i2].copy()
-        if i1 == self._zero[0]:
-            self.slices["u=0"] = block[:, :, self._zero[1]].copy()
-
-
 def _check_param_set(config, pset, selected):
     name, a1, a2 = pset
     results = []
@@ -393,19 +369,21 @@ def _check_param_set(config, pset, selected):
         results.append(_below("stqolct-routes", {"set": name, "n": config.oracle_n,
                                                  "stride": 4}, worst, 0.0, 1e-9))
 
-    if want(*_FIELD_CHECKS):
+    if want(*_FIELD_CHECKS, "donoho-stark-support"):
         window = gaussian_signal(ax1, ax2, config.window_alpha)
         plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=config.stride)
         f = gaussian_signal(ax1, ax2, 1.0)
         win_sq = l2_norm(window) ** 2
         f_sq = l2_norm(f) ** 2
         b1b2 = abs(a1.b * a2.b)
-        # one streamed pass of the field feeds every selected reducer
-        sums = _FieldSums.for_plan(plan)
         identities = config.stride == 1
-        rec = _Reconstruction(plan) if identities and want("reconstruction") else None
-        slices = _HardySlices(plan, sums) if identities and want("hardy-field") else None
-        _stream(f, plan, *(r for r in (sums, rec, slices) if r is not None))
+        # one streamed pass of the field feeds every selected reducer; the
+        # exact-support corollary builds its own field and needs no pass
+        if want(*_FIELD_CHECKS):
+            sums = _FieldSums.for_plan(plan)
+            rec = _Reconstruction(plan) if identities and want("reconstruction") else None
+            _stream(f, plan, *(r for r in (sums, rec) if r is not None))
+            marginal = _marginal_map(sums)
 
         if want("boundedness"):
             bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(b1b2))
@@ -420,7 +398,6 @@ def _check_param_set(config, pset, selected):
             if want("reconstruction"):
                 results.append(_below("reconstruction", {"set": name},
                                       _rel_l2(rec.result(), f), 0.0, 1e-3))
-            marginal = _marginal_map(sums)
             if want("donoho-stark"):
                 for eps in config.eps:
                     results.append(donoho_stark_check(f, plan, eps, eps, marginal=marginal))
@@ -440,10 +417,10 @@ def _check_param_set(config, pset, selected):
                 derivative.params["set"] = name
                 results.extend([literal, derivative])
             if want("hardy-field"):
-                results.extend(_hardy_field(config, plan, slices.slices, name))
+                results.extend(_hardy_field(config, plan, f, sums, name))
 
     if want("moyal-shared-window", "moyal-shared-signal", "moyal-general"):
-        results.extend(_check_moyal(config, pset))
+        results.extend(_check_moyal(config, pset, want))
     return results
 
 
@@ -461,13 +438,17 @@ def _donoho_stark_corollary(config, plan, name):
     return res
 
 
-def _hardy_field(config, plan, slices, name):
+def _hardy_field(config, plan, f, sums, name):
     # decay fits on the coefficient magnitude at u = 0 and at the
-    # energy-maximizing translation; informational only
+    # energy-maximizing translation (the first in row-major order), each
+    # slice one fast QOLCT of its modified signal; informational only
     results = []
     p1, p2 = plan.qolct.params1, plan.qolct.params2
-    for label in ("u=0", "u=max-overlap"):
-        mag = qnorm(slices[label])
+    zero = (plan.ax1.n // 2 // plan.stride, plan.ax2.n // 2 // plan.stride)
+    best = np.unravel_index(int(np.argmax(sums.u_energy)), sums.u_energy.shape)
+    for label, index in (("u=0", zero), ("u=max-overlap", best)):
+        g = modified_signal(f, plan.window, plan.translation(*index))
+        mag = qnorm(qolct_forward(g, plan.qolct).data)
         try:
             fit = hardy_decay_fit(mag, plan.qolct.w1.coords, plan.qolct.w2.coords,
                                   config.hardy_radius,
@@ -484,7 +465,7 @@ def _hardy_field(config, plan, slices, name):
     return results
 
 
-def _check_moyal(config, pset):
+def _check_moyal(config, pset, want):
     # identity checks scale as n^4 in memory; a 48-point grid resolves the
     # corpus signals while keeping the two coefficient stacks small
     name, a1, a2 = pset
@@ -496,24 +477,22 @@ def _check_moyal(config, pset):
     phi = gaussian_signal(ax1, ax2, config.window_alpha)
     psi = gaussian_signal(ax1, ax2, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
     results = []
-    shared = moyal_check(f, g, phi, phi, qplan)
-    scale = max(abs(float(shared.rhs[0])), 1e-300)
-    results.append(_close("moyal-shared-window", {"set": name},
-                          float(shared.lhs[0]) / scale,
-                          float(shared.rhs[0]) / scale, 1e-3))
-    same_sig = moyal_check(f, f, phi, psi, qplan)
-    scale = max(abs(float(same_sig.rhs[0])), 1e-300)
-    results.append(_close("moyal-shared-signal", {"set": name},
-                          float(same_sig.lhs[0]) / scale,
-                          float(same_sig.rhs[0]) / scale, 1e-3))
-    general = moyal_check(f, g, phi, psi, qplan)
-    results.append(InequalityResult(
-        name="moyal-general",
-        params={"set": name, "lhs": [float(v) for v in general.lhs],
-                "rhs": [float(v) for v in general.rhs],
-                "rhs_reversed": [float(v) for v in general.rhs_reversed]},
-        lhs=float(general.lhs[0]), rhs=float(general.rhs[0]),
-        margin=0.0, tolerance=0.0, passed=True))
+    for label, sig, win in (("moyal-shared-window", g, phi),
+                            ("moyal-shared-signal", f, psi)):
+        if want(label):
+            res = moyal_check(f, sig, phi, win, qplan)
+            scale = max(abs(float(res.rhs[0])), 1e-300)
+            results.append(_close(label, {"set": name}, float(res.lhs[0]) / scale,
+                                  float(res.rhs[0]) / scale, 1e-3))
+    if want("moyal-general"):
+        general = moyal_check(f, g, phi, psi, qplan)
+        results.append(InequalityResult(
+            name="moyal-general",
+            params={"set": name, "lhs": [float(v) for v in general.lhs],
+                    "rhs": [float(v) for v in general.rhs],
+                    "rhs_reversed": [float(v) for v in general.rhs_reversed]},
+            lhs=float(general.lhs[0]), rhs=float(general.rhs[0]),
+            margin=0.0, tolerance=0.0, passed=True))
     return results
 
 

@@ -170,8 +170,9 @@ def test_criterion_06_donoho_stark(corpus):
     ok = True
     details = []
     for name, f, plan, field in corpus:
+        marginal = field_w_energy_map(field)
         for eps in (0.0, 0.1, 0.25):
-            res = donoho_stark_check(f, plan, eps, eps, field=field)
+            res = donoho_stark_check(f, plan, eps, eps, marginal=marginal)
             ok = ok and res.passed
             details.append(f"{name} eps={eps}: margin {res.margin:.3g}")
     # greedy support equals the exhaustive optimum on sparse signals
@@ -225,7 +226,7 @@ def test_criterion_08_log_up(corpus):
     quotients = []
     ok = const_dev < 1e-9
     for name, f, plan, field in corpus:
-        _, derivative = log_up_check(f, plan, field=field)
+        _, derivative = log_up_check(f, plan, marginal=field_w_energy_map(field))
         quotients.append(derivative.lhs)
         ok = ok and derivative.lhs <= 1e-6
     verdict(8, "logarithmic bound (derivative form)", ok,

@@ -36,6 +36,12 @@ def field32(plan32):
     return f, stqolct_forward(f, plan32)
 
 
+@pytest.fixture
+def marginal32(field32):
+    f, field = field32
+    return f, field_w_energy_map(field)
+
+
 class TestEpsilonConcentration:
     def test_full_support_gives_zero(self, small_axes):
         f = gaussian_signal(*small_axes, alpha=1.0)
@@ -127,9 +133,9 @@ class TestEssentialSupport:
 
 
 class TestDonohoStark:
-    def test_gaussian_passes_with_margin(self, plan32, field32):
-        f, field = field32
-        res = donoho_stark_check(f, plan32, 0.1, 0.1, field=field)
+    def test_gaussian_passes_with_margin(self, plan32, marginal32):
+        f, marginal = marginal32
+        res = donoho_stark_check(f, plan32, 0.1, 0.1, marginal=marginal)
         assert res.passed and res.margin > 0
 
     def test_exact_support_case(self, plan32):
@@ -156,12 +162,12 @@ class TestDonohoStark:
             margins.append(res.margin)
         assert all(a > b for a, b in zip(margins, margins[1:]))
 
-    def test_eps_preconditions(self, plan32, field32):
-        f, field = field32
+    def test_eps_preconditions(self, plan32, marginal32):
+        f, marginal = marginal32
         with pytest.raises(ParameterError):
-            donoho_stark_check(f, plan32, 0.6, 0.5, field=field)
+            donoho_stark_check(f, plan32, 0.6, 0.5, marginal=marginal)
         with pytest.raises(ParameterError):
-            donoho_stark_check(f, plan32, -0.1, 0.0, field=field)
+            donoho_stark_check(f, plan32, -0.1, 0.0, marginal=marginal)
 
     def test_requires_stride1(self, small_axes):
         ax1, ax2 = small_axes
@@ -203,16 +209,16 @@ class TestPittConstant:
 
 
 class TestPittCheck:
-    def test_alpha_zero_is_equality(self, plan32, field32):
-        f, field = field32
-        res = pitt_check(f, plan32, 0.0, field=field)
+    def test_alpha_zero_is_equality(self, plan32, marginal32):
+        f, marginal = marginal32
+        res = pitt_check(f, plan32, 0.0, marginal=marginal)
         assert res.passed
         assert res.lhs == pytest.approx(res.rhs, rel=1e-3)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5])
-    def test_gaussian_sweep_passes(self, plan32, field32, alpha):
-        f, field = field32
-        res = pitt_check(f, plan32, alpha, field=field)
+    def test_gaussian_sweep_passes(self, plan32, marginal32, alpha):
+        f, marginal = marginal32
+        res = pitt_check(f, plan32, alpha, marginal=marginal)
         assert res.passed
 
     def test_chirp_gaussian_sweep(self):
@@ -235,21 +241,57 @@ class TestLogUp:
         assert log_up_constant() == pytest.approx(expect, abs=1e-9)
         assert log_up_constant() == pytest.approx(-1.2703628, abs=1e-6)
 
-    def test_derivative_variant_passes(self, plan32, field32):
-        f, field = field32
-        literal, derivative = log_up_check(f, plan32, field=field)
+    def test_derivative_variant_passes(self, plan32, marginal32):
+        f, marginal = marginal32
+        literal, derivative = log_up_check(f, plan32, marginal=marginal)
         assert derivative.passed
         assert derivative.lhs <= 1e-6
 
-    def test_literal_variant_homogeneity(self, plan32, field32):
+    def test_literal_variant_homogeneity(self, plan32, marginal32):
         # scaling f by 2 scales both sides of the literal inequality by 4
-        f, field = field32
-        lit1, _ = log_up_check(f, plan32, field=field)
+        f, marginal = marginal32
+        lit1, _ = log_up_check(f, plan32, marginal=marginal)
         doubled = GridSignal2D(f.ax1, f.ax2, 2.0 * f.data)
-        field2 = stqolct_forward(doubled, plan32)
-        lit2, _ = log_up_check(doubled, plan32, field=field2)
+        marginal2 = field_w_energy_map(stqolct_forward(doubled, plan32))
+        lit2, _ = log_up_check(doubled, plan32, marginal=marginal2)
         assert lit2.lhs == pytest.approx(4.0 * lit1.lhs, rel=1e-12)
         assert lit2.rhs == pytest.approx(4.0 * lit1.rhs, rel=1e-12)
+
+
+def _off_grid_marginal(plan32, kind):
+    """The marginal of a Gaussian on a grid other than plan32's: of another
+    shape (16 points), or of its shape but another cell area (|b| = 2)."""
+    if kind == "shape":
+        ax = Axis.centered(16, 8.0)
+        plan = StqolctPlan.create(UNIT_B, UNIT_B, ax, ax, gaussian_signal(ax, ax, 2.0),
+                                  stride=1)
+    else:
+        wide_b = OlctParams(1, 2, 0, 1, 0.2, -0.4)
+        plan = StqolctPlan.create(wide_b, wide_b, plan32.ax1, plan32.ax2,
+                                  plan32.window, stride=1)
+    f = gaussian_signal(plan.ax1, plan.ax2, 1.0)
+    return field_w_energy_map(stqolct_forward(f, plan))
+
+
+class TestMarginalGrid:
+    """A marginal off the plan's frequency grid is rejected, not broadcast
+    or silently used."""
+
+    CHECKS = {
+        "donoho-stark": lambda f, plan, m: donoho_stark_check(f, plan, 0.1, 0.1,
+                                                              marginal=m),
+        "pitt": lambda f, plan, m: pitt_check(f, plan, 0.5, marginal=m),
+        "log-up": lambda f, plan, m: log_up_check(f, plan, marginal=m),
+    }
+
+    @pytest.mark.parametrize("kind", ["shape", "cell-area"])
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_off_grid_marginal_raises(self, plan32, marginal32, check, kind):
+        f, on_grid = marginal32
+        marginal = _off_grid_marginal(plan32, kind)
+        assert (marginal.values.shape == on_grid.values.shape) == (kind == "cell-area")
+        with pytest.raises(ShapeError, match="frequency grid"):
+            self.CHECKS[check](f, plan32, marginal)
 
 
 class TestHardyFit:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qtfa import verify
 from qtfa.errors import ParameterError
 from qtfa.verify import (_KNOWN_CHECKS, RunConfig, UNGATED_CHECKS, default_config_dict,
                          format_report_table, gated_failures, load_report,
@@ -113,6 +114,41 @@ class TestRunVerification:
         results = run_verification(config)
         assert [r.name for r in results] == head + per_set * 3
         assert not gated_failures(results)
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["moyal-shared-window", "moyal-shared-signal",
+                                      "moyal-general"])
+    def test_only_one_moyal_record_makes_one_call_per_set(self, monkeypatch, name):
+        # every Moyal record used to cost all three moyal_check calls
+        calls = self._count_calls(monkeypatch, "moyal_check")
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        results = run_verification(config, only=[name])
+        assert len(results) == len(config.param_sets)
+        assert len(calls) == len(config.param_sets)
+
+    @pytest.mark.parametrize("only, passes", [(["donoho-stark-support"], 0),
+                                              (["energy"], 1),
+                                              (["energy", "donoho-stark-support"], 1)])
+    def test_streamed_pass_runs_only_for_the_checks_it_feeds(self, monkeypatch, only,
+                                                             passes):
+        # the exact-support corollary builds its own field; selecting it
+        # alone used to stream the main field of every set as well
+        calls = self._count_calls(monkeypatch, "_stream")
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        results = run_verification(config, only=only)
+        assert {r.name for r in results} == set(only)
+        assert len(calls) == passes * len(config.param_sets)
 
     def test_ungated_checks_never_gate(self):
         results = run_verification(small_config(), only=sorted(UNGATED_CHECKS))
