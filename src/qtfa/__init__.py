@@ -11,11 +11,10 @@ from .fileio import load_field, load_signal, save_field, save_signal
 from .grid import (Axis, GridSignal2D, chirp_signal, frequency_axis,
                    gaussian_signal, impulse_signal, inner_product, l2_norm,
                    pointwise_mul, translate_window)
-from .qft import QftPlan, component_modulus, qft_forward, qft_inverse, qft_modulus
+from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import (OlctParams, QolctPlan, kernel_left, kernel_right,
                     qolct_forward, qolct_inverse)
-from .quaternion import (CayleyPair, cayley_join, cayley_split, qconj, qmatmul,
-                         qmul, qnorm, quat, scalar_part, unit_exp)
+from .quaternion import qconj, qmatmul, qmul, qnorm, quat, scalar_part, unit_exp
 from .specialfn import digamma, gamma
 from .stqolct import (MoyalResult, StqolctField, StqolctPlan, coefficient_slice,
                       modified_signal, moyal_check, stqolct_energy,

@@ -16,12 +16,14 @@ m = za - i*zb: a left i-complex factor multiplies both channels as an
 ordinary complex scalar, while a right j-complex factor reaches p as
 itself and m as its conjugate.  A transform whose kernels are a 1-D head
 profile, a Fourier phase and a 1-D tail profile per axis is then, per
-channel, ``out * dft2(in * channel)``: two complex 2D DFTs with opposite
-sign on the second axis between precomputed phase planes
-(``_phase_planes``).  The planes fold in the profiles, the FFT twiddles
-(exact for any reciprocal pair of affine grids, step_w * step_x * n =
-2*pi) and the 1/2 of the channel join.  The QFT is the case with unit
-profiles.
+channel, ``tail * dft2(head * channel)``: two complex 2D DFTs with
+opposite sign on the second axis.  The profiles (``_profiles``) fold in
+the FFT twiddles (exact for any reciprocal pair of affine grids,
+step_w * step_x * n = 2*pi) and the 1/2 of the channel join.  Each plan
+computes its profiles once, on first use, and caches them; the engine
+applies them as in-place broadcast multiplies, one per axis, so a
+one-shot transform never allocates an n1 x n2 phase plane.  The QFT is
+the case with unit profiles.
 
 Both modes are pure functions and may be called concurrently.
 """
@@ -29,6 +31,8 @@ Both modes are pure functions and may be called concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +40,10 @@ from .errors import ParameterError, ShapeError
 from .grid import Axis, GridSignal2D, frequency_axis
 from .quaternion import qmatmul, qnorm, unit_exp
 
-__all__ = ["QftPlan", "qft_forward", "qft_inverse", "qft_modulus", "component_modulus"]
+__all__ = ["QftPlan", "qft_forward", "qft_inverse", "qft_modulus"]
+
+#: the inverse QFT weight 1/(2*pi)^2
+_INVERSE_NORM = 1.0 / (4.0 * np.pi**2)
 
 
 def check_reciprocal(x: Axis, w: Axis, scale: float = 1.0):
@@ -70,6 +77,19 @@ class QftPlan:
     def for_axes(cls, ax1, ax2):
         return cls(ax1, ax2, frequency_axis(ax1), frequency_axis(ax2))
 
+    # The fast engine's profiles, computed on first use.  The plan is
+    # frozen, so they never go stale; a thread that races another here
+    # computes the same arrays and stores them only once they are whole.
+    @cached_property
+    def _forward_profiles(self):
+        return _profiles((self.ax1, self.ax2), (self.w1, self.w2), (-1, -1),
+                         (1.0, 1.0), (1.0, 1.0))
+
+    @cached_property
+    def _inverse_profiles(self):
+        return _profiles((self.w1, self.w2), (self.ax1, self.ax2), (1, 1),
+                         (1.0, 1.0), (_INVERSE_NORM, 1.0))
+
 
 def _twiddles(src: Axis, dst: Axis, sign):
     # sum_k exp(sign*i*dst_r*src_k) a_k src.step = post_r * DFT_sign(pre * a)_r
@@ -79,29 +99,55 @@ def _twiddles(src: Axis, dst: Axis, sign):
     return pre, post
 
 
-def _phase_planes(src, dst, signs, heads, tails):
-    """Phase planes of a split-channel transform, one set per channel.
+class _Channel(NamedTuple):
+    """One channel's 1-D profiles: c -> tail1 x tail2 * dft2(head1 x head2 * c, signs)."""
+
+    head1: np.ndarray
+    head2: np.ndarray
+    tail1: np.ndarray
+    tail2: np.ndarray
+    signs: tuple
+
+
+def _frozen(profile):
+    # cached profiles are shared by every caller of the plan
+    profile.setflags(write=False)
+    return profile
+
+
+def _profiles(src, dst, signs, heads, tails):
+    """The 1-D profiles of a split-channel transform, one ``_Channel`` per channel.
 
     ``src`` and ``dst`` are (axis1, axis2) grid pairs, reciprocal per
     axis; ``signs`` are the p channel's DFT exponent signs; ``heads`` and
     ``tails`` are the (left, right) 1-D input and output profiles, i- and
     j-complex factors in their complex form (scalars broadcast).  Returns
-    ``((in_p, out_p, signs_p), (in_m, out_m, signs_m))``: channel c
-    transforms as ``out_c * dft2(in_c * c, signs_c)``.  A right
-    j-complex factor reaches the m channel conjugated, so the m channel
-    takes the conjugate right profiles and the opposite second-axis sign.
-    The out planes carry the FFT twiddles and the channel join's 1/2.
+    ``(p, m)``.  A right j-complex factor reaches the m channel
+    conjugated, so the m channel takes the conjugate right profiles and
+    the opposite second-axis sign.  The tails carry the FFT twiddles and
+    the channel join's 1/2.  Every array has one axis's length.
     """
     pre1, post1 = _twiddles(src[0], dst[0], signs[0])
-    head1 = heads[0] * pre1
-    tail1 = tails[0] * post1 / 2.0
+    head1 = _frozen(heads[0] * pre1)
+    tail1 = _frozen(tails[0] * post1 / 2.0)
     channels = []
     for sign2, head2, tail2 in ((signs[1], heads[1], tails[1]),
                                 (-signs[1], np.conj(heads[1]), np.conj(tails[1]))):
         pre2, post2 = _twiddles(src[1], dst[1], sign2)
-        channels.append((np.outer(head1, head2 * pre2), np.outer(tail1, tail2 * post2),
-                         (signs[0], sign2)))
+        channels.append(_Channel(head1, _frozen(head2 * pre2), tail1,
+                                 _frozen(tail2 * post2), (signs[0], sign2)))
     return tuple(channels)
+
+
+def _phase_planes(profiles):
+    """Each channel's ``(in, out, signs)``, its profiles as n1 x n2 planes.
+
+    For a multi-pass caller (the ST-QOLCT row engine and its
+    reconstruction) that applies them to many blocks; a one-shot
+    transform broadcasts the profiles instead (``_transform``).
+    """
+    return tuple((np.outer(ch.head1, ch.head2), np.outer(ch.tail1, ch.tail2), ch.signs)
+                 for ch in profiles)
 
 
 def _dft2(x, signs):
@@ -120,13 +166,12 @@ def _dft2(x, signs):
 
 def _split_channels(data):
     """(p, m) = (za + i zb, za - i zb) of q = za + zb j, over the last axis."""
-    p = np.empty(data.shape[:-1], dtype=complex)
-    m = np.empty_like(p)
-    q0, q1, q2, q3 = (data[..., c] for c in range(4))
-    np.subtract(q0, q3, out=p.real)
-    np.add(q1, q2, out=p.imag)
-    np.add(q0, q3, out=m.real)
-    np.subtract(q1, q2, out=m.imag)
+    z = np.ascontiguousarray(data, dtype=float).view(complex)
+    za, zb = z[..., 0], z[..., 1]
+    p = np.empty(za.shape, dtype=complex)
+    m = np.multiply(zb, 1j, out=np.empty_like(p))
+    np.add(za, m, out=p)
+    np.subtract(za, m, out=m)
     return p, m
 
 
@@ -134,22 +179,22 @@ def _join_channels(p, m, out=None):
     """q = za + zb j with za = p + m, zb = (p - m)/i: the channels carry the 1/2."""
     if out is None:
         out = np.empty(p.shape + (4,))
-    np.add(p.real, m.real, out=out[..., 0])
-    np.add(p.imag, m.imag, out=out[..., 1])
-    np.subtract(p.imag, m.imag, out=out[..., 2])
-    np.subtract(m.real, p.real, out=out[..., 3])
+    z = out.view(complex)
+    np.add(p, m, out=z[..., 0])
+    zb = np.subtract(m, p, out=z[..., 1])
+    zb *= 1j
     return out
 
 
-def _transform(data, planes):
-    """The split-channel transform of an (n1, n2, 4) array through ``planes``."""
+def _transform(data, profiles):
+    """The split-channel transform of an (n1, n2, 4) array through ``profiles``."""
     channels = _split_channels(data)
-    for c, (head, tail, signs) in zip(channels, planes):
-        c *= head
-        _dft2(c, signs)
-        c *= tail
-    # drop the planes before the joined output exists
-    del planes, head, tail
+    for c, ch in zip(channels, profiles):
+        c *= ch.head1[:, None]
+        c *= ch.head2
+        _dft2(c, ch.signs)
+        c *= ch.tail1[:, None]
+        c *= ch.tail2
     return _join_channels(*channels)
 
 
@@ -176,8 +221,7 @@ def qft_forward(f: GridSignal2D, plan: QftPlan | None = None, mode="fast") -> Gr
         kr = unit_exp("j", -np.outer(plan.ax2.coords, plan.w2.coords))
         data = qmatmul(kl, qmatmul(f.data, kr)) * f.cell_area
     else:
-        data = _transform(f.data, _phase_planes((plan.ax1, plan.ax2), (plan.w1, plan.w2),
-                                                (-1, -1), (1.0, 1.0), (1.0, 1.0)))
+        data = _transform(f.data, plan._forward_profiles)
     return GridSignal2D(plan.w1, plan.w2, data)
 
 
@@ -189,37 +233,16 @@ def qft_inverse(F: GridSignal2D, plan: QftPlan, mode="fast") -> GridSignal2D:
     """
     _check_mode(mode)
     _check_signal_axes(F, plan.w1, plan.w2, "frequency")
-    norm = 1.0 / (4.0 * np.pi**2)
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = unit_exp("i", np.outer(plan.ax1.coords, plan.w1.coords))
         kr = unit_exp("j", np.outer(plan.w2.coords, plan.ax2.coords))
-        data = qmatmul(kl, qmatmul(F.data, kr)) * (F.cell_area * norm)
+        data = qmatmul(kl, qmatmul(F.data, kr)) * (F.cell_area * _INVERSE_NORM)
     else:
-        data = _transform(F.data, _phase_planes((plan.w1, plan.w2), (plan.ax1, plan.ax2),
-                                                (1, 1), (1.0, 1.0), (norm, 1.0)))
+        data = _transform(F.data, plan._inverse_profiles)
     return GridSignal2D(plan.ax1, plan.ax2, data)
 
 
 def qft_modulus(F: GridSignal2D):
     """Pointwise quaternion modulus |F(w)| as a real (n1, n2) array."""
     return qnorm(F.data)
-
-
-def component_modulus(f: GridSignal2D, plan: QftPlan | None = None, mode="fast"):
-    """Diagnostic modulus sqrt(sum_m |QFT[f_m]|^2) over component transforms.
-
-    Each real component f_m transforms separately; because those
-    transforms are quaternion-valued, this generally differs from the
-    pointwise modulus of the assembled transform (they coincide for real
-    signals).  Exposed for comparison only.
-    """
-    if plan is None:
-        plan = QftPlan.for_axes(f.ax1, f.ax2)
-    total = np.zeros((plan.w1.n, plan.w2.n))
-    for m in range(4):
-        comp = np.zeros_like(f.data)
-        comp[..., 0] = f.data[..., m]
-        Fm = qft_forward(GridSignal2D(f.ax1, f.ax2, comp), plan, mode=mode)
-        total += np.sum(Fm.data * Fm.data, axis=-1)
-    return np.sqrt(total)

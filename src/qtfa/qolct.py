@@ -17,22 +17,24 @@ products; it is the oracle the fast mode is tested against.
 ``mode="fast"`` factors each kernel into an input chirp, a pure Fourier
 phase in x*w/b, and an output prefactor, and runs the split-channel
 engine of ``qft`` with the chirps and prefactors as its 1-D profiles
-(``_channel_planes``).  The Fourier phase runs on the canonical grid
-nu = w/b; for b < 0 that grid is the centered output grid reversed, and
-the reversal is the DFT's exponent sign.
+(``_channel_profiles``).  Each plan computes its forward and inverse
+profiles once, on first use, and caches them; the engine applies them
+by broadcasting.  The Fourier phase runs on the canonical grid nu = w/b;
+for b < 0 that grid is the centered output grid reversed, and the
+reversal is the DFT's exponent sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
 from .grid import Axis, GridSignal2D, frequency_axis
-from .qft import (_check_mode, _check_signal_axes, _phase_planes, _transform,
-                  check_reciprocal)
+from .qft import _check_mode, _check_signal_axes, _profiles, _transform, check_reciprocal
 from .quaternion import qconj, qmatmul, unit_exp
 
 __all__ = ["OlctParams", "QolctPlan", "kernel_left", "kernel_right",
@@ -124,6 +126,15 @@ class QolctPlan:
                    frequency_axis(ax1, abs(params1.b)),
                    frequency_axis(ax2, abs(params2.b)))
 
+    # The fast engine's profiles, computed on first use (see QftPlan).
+    @cached_property
+    def _forward_profiles(self):
+        return _channel_profiles(self)
+
+    @cached_property
+    def _inverse_profiles(self):
+        return _channel_profiles(self, inverse=True)
+
 
 def _chirp_angle(params, x):
     return (params.a * x * x / 2.0 + x * params.p) / params.b
@@ -150,8 +161,8 @@ def _complex_profiles(plan):
     return chirp1, chirp2, pre1, pre2
 
 
-def _channel_planes(plan: QolctPlan, inverse=False):
-    """The plan's phase planes for the split-channel engine (``qft._phase_planes``).
+def _channel_profiles(plan: QolctPlan, inverse=False):
+    """The plan's profiles for the split-channel engine (``qft._profiles``).
 
     The chirps, kernel prefactors and |b| weights are the 1-D profiles.
     The transform runs on the canonical grid nu = w/b, which for negative
@@ -166,20 +177,20 @@ def _channel_planes(plan: QolctPlan, inverse=False):
     if inverse:
         # Sums over w carry dw = |b| dnu per axis.
         weight = abs(plan.params1.b * plan.params2.b)
-        return _phase_planes(canonical, spatial, sgn, (pre1.conj(), pre2.conj()),
-                             (chirp1.conj() * weight, chirp2.conj()))
-    return _phase_planes(spatial, canonical, (-sgn[0], -sgn[1]), (chirp1, chirp2),
-                         (pre1, pre2))
+        return _profiles(canonical, spatial, sgn, (pre1.conj(), pre2.conj()),
+                         (chirp1.conj() * weight, chirp2.conj()))
+    return _profiles(spatial, canonical, (-sgn[0], -sgn[1]), (chirp1, chirp2),
+                     (pre1, pre2))
 
 
 def qolct_forward_batch(data, plan: QolctPlan):
     """Fast forward transform of an (n1, n2, 4) array."""
-    return _transform(data, _channel_planes(plan))
+    return _transform(data, plan._forward_profiles)
 
 
 def qolct_inverse_batch(data, plan: QolctPlan):
     """Fast inverse transform of an (nw1, nw2, 4) array."""
-    return _transform(data, _channel_planes(plan, inverse=True))
+    return _transform(data, plan._inverse_profiles)
 
 
 def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D:

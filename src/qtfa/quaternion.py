@@ -10,8 +10,6 @@ Multiplication follows i*j = k, j*k = i, k*i = j with i^2 = j^2 = k^2 = -1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ParameterError
@@ -23,9 +21,6 @@ __all__ = [
     "qnorm",
     "scalar_part",
     "unit_exp",
-    "CayleyPair",
-    "cayley_split",
-    "cayley_join",
     "qmatmul",
 ]
 
@@ -88,26 +83,6 @@ def unit_exp(axis, theta):
     else:
         raise ParameterError(f"unit_exp axis must be 'i' or 'j', got {axis!r}")
     return out
-
-
-class CayleyPair(NamedTuple):
-    """q written as za + zb*j with za, zb complex in i."""
-
-    za: np.ndarray
-    zb: np.ndarray
-
-
-def cayley_split(q):
-    """Split q into the pair (q0 + i*q1, q2 + i*q3)."""
-    q = np.asarray(q, dtype=float)
-    return CayleyPair(q[..., 0] + 1j * q[..., 1], q[..., 2] + 1j * q[..., 3])
-
-
-def cayley_join(za, zb):
-    """Inverse of cayley_split: za + zb*j as a quaternion array."""
-    za = np.asarray(za, dtype=complex)
-    zb = np.asarray(zb, dtype=complex)
-    return np.stack([za.real, za.imag, zb.real, zb.imag], axis=-1)
 
 
 def qmatmul(a, b):

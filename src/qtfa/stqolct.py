@@ -25,9 +25,9 @@ is then, per cell, a 2x2 complex matrix of window planes applied to the
 signal channels.  The window planes are zero-padded once, so the planes of
 every translation are slices of one ``sliding_window_view``.  The QOLCT
 then runs on the channels through the split-channel engine of ``qft``:
-its phase planes (``qolct._channel_planes``), ``_dft2`` and the channel
-join.  The engine yields the field one u1 row at a time as a
-(nw1, nw2, nu2, 4) block.
+the QOLCT plan's cached profiles, built into phase planes once per pass
+(``_phase_planes``), ``_dft2`` and the channel join.  The engine yields
+the field one u1 row at a time as a (nw1, nw2, nu2, 4) block.
 
 Everything downstream consumes rows: ``stqolct_forward`` copies them into
 the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1),
@@ -50,8 +50,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError, ShapeError
 from .grid import Axis, GridSignal2D, inner_product, l2_norm, translate_window
 from .qft import (QftPlan, _check_mode, _check_signal_axes, _dft2, _join_channels,
-                  _split_channels, qft_forward)
-from .qolct import OlctParams, QolctPlan, _channel_planes, qolct_forward, qolct_inverse
+                  _phase_planes, _split_channels, qft_forward)
+from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, unit_exp
 
 __all__ = [
@@ -203,7 +203,8 @@ def _rows(f: GridSignal2D, plan: StqolctPlan):
     buffer is reused: a consumer copies what it keeps past its turn.
     """
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
-    (in_p, out_p, signs_p), (in_m, out_m, signs_m) = _channel_planes(plan.qolct)
+    planes = _phase_planes(plan.qolct._forward_profiles)
+    (in_p, out_p, signs_p), (in_m, out_m, signs_m) = planes
     f_p, f_m = _split_channels(f.data[:, :, None])
     src_p = (in_p[:, :, None] * f_p, in_p[:, :, None] * f_m)
     src_m = (in_m[:, :, None] * f_p, in_m[:, :, None] * f_m)
@@ -409,7 +410,7 @@ class _Reconstruction:
         if plan.stride != 1:
             raise ParameterError("reconstruction requires a stride-1 translation grid")
         self._plan = plan
-        self._planes = _channel_planes(plan.qolct, inverse=True)
+        self._planes = _phase_planes(plan.qolct._inverse_profiles)
         w_pp, w_pm, w_mp, w_mm = _window_matrix(plan).conj()
         self._windows = _Translations(plan, np.stack([w_pp, w_mp, w_pm, w_mm]))
         # sums over u of p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)

@@ -1,12 +1,18 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_signal, rectangular_axes
-from qtfa import (Axis, GridSignal2D, QftPlan, component_modulus, gaussian_signal,
-                  chirp_signal, impulse_signal, l2_norm, pointwise_mul, qft_forward,
-                  qft_inverse, qft_modulus, qmul, quat, unit_exp)
+from qtfa import (Axis, GridSignal2D, OlctParams, QftPlan, QolctPlan, gaussian_signal,
+                  chirp_signal, impulse_signal, l2_norm, pointwise_mul, qconj, qft_forward,
+                  qft_inverse, qft_modulus, qmul, qolct_forward, qolct_inverse, quat,
+                  unit_exp)
 from qtfa.errors import ParameterError, ShapeError
+from qtfa.qft import _join_channels, _split_channels
 
 
 def quadruple_loop_qft(f, plan):
@@ -169,24 +175,95 @@ def test_real_linearity(small_axes):
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-class TestModulusVariants:
-    def test_agree_for_real_signals(self, small_axes):
-        ax1, ax2 = small_axes
-        plan = QftPlan.for_axes(ax1, ax2)
-        data = np.zeros((16, 16, 4))
-        data[..., 0] = np.random.default_rng(3).standard_normal((16, 16))
-        f = GridSignal2D(ax1, ax2, data)
-        F = qft_forward(f, plan)
-        assert np.allclose(component_modulus(f, plan), qft_modulus(F), atol=1e-12)
+class TestChannels:
+    """The engine's channel form: q = za + zb j as p = za + i zb, m = za - i zb."""
 
-    def test_differ_for_quaternion_signals(self, small_axes):
-        # the component-transform modulus is a genuinely different
-        # quantity once the signal has all four components
-        ax1, ax2 = small_axes
-        plan = QftPlan.for_axes(ax1, ax2)
-        f = random_signal(ax1, ax2, seed=24)
-        F = qft_forward(f, plan)
-        assert np.max(np.abs(component_modulus(f, plan) - qft_modulus(F))) > 1e-3
+    def test_roundtrip(self, rng):
+        q = rng.standard_normal((1000, 4))
+        p, m = _split_channels(q)
+        # the join expects channels that carry the 1/2
+        assert np.max(np.abs(_join_channels(p / 2, m / 2) - q)) < 1e-14
+
+    def test_za_j_commutation(self, rng):
+        # za * j = j * conj(za) for i-complex za: why a right j-complex
+        # factor reaches the m channel conjugated
+        za = rng.standard_normal(4)
+        z = quat(za[0], za[1])
+        J = quat(0, 0, 1)
+        assert np.allclose(qmul(z, J), qmul(J, qconj(z)), atol=1e-15)
+
+    def test_product_rule_matches_qmul(self, rng):
+        # (q w)_p = (q_p (w_p + conj w_m) + q_m (w_p - conj w_m)) / 2
+        # (q w)_m = (q_p (w_m - conj w_p) + q_m (w_m + conj w_p)) / 2
+        q, w = rng.standard_normal((2, 1000, 4))
+        q_p, q_m = _split_channels(q)
+        w_p, w_m = _split_channels(w)
+        r_p = (q_p * (w_p + w_m.conj()) + q_m * (w_p - w_m.conj())) / 2
+        r_m = (q_p * (w_m - w_p.conj()) + q_m * (w_m + w_p.conj())) / 2
+        assert np.max(np.abs(_join_channels(r_p / 2, r_m / 2) - qmul(q, w))) < 1e-14
+
+
+def _fresh_plans(n):
+    ax = Axis.centered(n, 8.0)
+    sextet = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
+    negative_b = OlctParams(0, -1, 1, 0, 0.0, 0.3)
+    return ((QftPlan.for_axes(ax, ax), qft_forward, qft_inverse),
+            (QolctPlan.for_axes(sextet, negative_b, ax, ax), qolct_forward, qolct_inverse))
+
+
+def _cached_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        yield from _cached_arrays(list(value.values()))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _cached_arrays(item)
+
+
+class TestProfileCache:
+    """Plans cache the fast engine's 1-D profiles on first use."""
+
+    def test_first_calls_from_threads_match_serial(self):
+        # verify's pool runs transforms concurrently, so the first calls
+        # on a plan may race to fill its cache.  A barrier lines the
+        # threads up and a short switch interval interleaves them.
+        ax = Axis.centered(32, 8.0)
+        f = random_signal(ax, ax, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for (plan, forward, inverse), (serial_plan, _, _) in zip(_fresh_plans(32),
+                                                                     _fresh_plans(32)):
+                F = forward(f, serial_plan)
+                back = inverse(F, serial_plan)
+                start = threading.Barrier(8)
+
+                def pair(_):
+                    start.wait(timeout=30)
+                    return forward(f, plan).data, inverse(F, plan).data
+
+                with ThreadPoolExecutor(8) as pool:
+                    results = list(pool.map(pair, range(8), timeout=60))
+                assert len(results) == 8
+                for got_F, got_back in results:
+                    assert np.array_equal(got_F, F.data)
+                    assert np.array_equal(got_back, back.data)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cache_holds_only_one_axis_profiles(self):
+        ax1, ax2 = Axis.centered(24, 8.0), Axis.centered(40, 6.0)
+        f = random_signal(ax1, ax2, seed=6)
+        sextet = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
+        for plan, forward, inverse in ((QftPlan.for_axes(ax1, ax2), qft_forward, qft_inverse),
+                                       (QolctPlan.for_axes(sextet, sextet, ax1, ax2),
+                                        qolct_forward, qolct_inverse)):
+            inverse(forward(f, plan), plan)
+            cached = list(_cached_arrays(vars(plan)))
+            assert len(cached) >= 4
+            assert max(a.size for a in cached) <= max(ax1.n, ax2.n)
+            assert not any(a.flags.writeable for a in cached)
 
 
 def test_plan_rejects_non_reciprocal_axes(small_axes):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qtfa import (CayleyPair, cayley_join, cayley_split, qconj, qmatmul, qmul,
-                  qnorm, quat, scalar_part, unit_exp)
+from qtfa import qconj, qmatmul, qmul, qnorm, quat, scalar_part, unit_exp
 from qtfa.errors import ParameterError
 
 ONE = quat(1)
@@ -124,30 +123,6 @@ class TestUnitExp:
     def test_rejects_other_axes(self):
         with pytest.raises(ParameterError):
             unit_exp("k", 1.0)
-
-
-class TestCayley:
-    def test_split_definition(self):
-        pair = cayley_split(quat(1, 2, 3, 4))
-        assert pair == CayleyPair(1 + 2j, 3 + 4j)
-
-    def test_roundtrip(self, rng):
-        q = rng.standard_normal((1000, 4))
-        assert np.array_equal(cayley_join(*cayley_split(q)), q)
-
-    def test_za_j_commutation(self, rng):
-        # za * j = j * conj(za) for i-complex za
-        za = rng.standard_normal(4)
-        z = quat(za[0], za[1])
-        assert np.allclose(qmul(z, J), qmul(J, qconj(z)), atol=1e-15)
-
-    def test_product_rule_matches_qmul(self, rng):
-        p, q = rng.standard_normal((2, 1000, 4))
-        za, zb = cayley_split(p)
-        wa, wb = cayley_split(q)
-        via_pair = cayley_join(za * wa - zb * np.conj(wb),
-                               za * wb + zb * np.conj(wa))
-        assert np.max(np.abs(via_pair - qmul(p, q))) < 1e-14
 
 
 def test_qmatmul_matches_elementwise_products(rng):
