@@ -164,12 +164,16 @@ def _dft2(x, signs):
     return x
 
 
-def _split_channels(data):
-    """(p, m) = (za + i zb, za - i zb) of q = za + zb j, over the last axis."""
+def _split_channels(data, out=None):
+    """(p, m) = (za + i zb, za - i zb) of q = za + zb j, over the last axis.
+
+    ``out`` is an optional (p, m) pair of complex arrays to write into.
+    """
     z = np.ascontiguousarray(data, dtype=float).view(complex)
     za, zb = z[..., 0], z[..., 1]
-    p = np.empty(za.shape, dtype=complex)
-    m = np.multiply(zb, 1j, out=np.empty_like(p))
+    p, m = out if out is not None else (np.empty(za.shape, dtype=complex),
+                                        np.empty(za.shape, dtype=complex))
+    np.multiply(zb, 1j, out=m)
     np.add(za, m, out=p)
     np.subtract(za, m, out=m)
     return p, m

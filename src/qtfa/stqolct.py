@@ -26,22 +26,36 @@ signal channels.  The window planes are zero-padded once, so the planes of
 every translation are slices of one ``sliding_window_view``.  The QOLCT
 then runs on the channels through the split-channel engine of ``qft``:
 the QOLCT plan's cached profiles, built into phase planes once per pass
-(``_phase_planes``), ``_dft2`` and the channel join.  The engine yields
+(``_phase_planes``), ``_dft2`` and the channel join.  The engine computes
 the field one u1 row at a time as a (nw1, nw2, nu2, 4) block.
 
-Everything downstream consumes rows: ``stqolct_forward`` copies them into
-the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1),
-and the reducers (``_FieldSums`` for energy, sup modulus and the
+Everything downstream consumes rows through one reducer protocol
+(``_pass``): ``partial()`` makes an empty partial sum for a chunk of
+rows, ``add(i1, buffers, partial)`` folds row i1 (in ``buffers.block``)
+into it, and ``merge(partial)`` folds a finished partial into the total.
+A pass cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a count that
+does not depend on the number of workers.  Each chunk feeds its rows in
+order to partials of its own, and the partials are merged in chunk
+order, so every sum is the same to the last bit whether the chunks run
+on the pool of ``_row_pool`` or inline.  ``stqolct_forward`` copies the
+rows into the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64,
+stride 1).  The reducers (``_FieldSums`` for energy, sup modulus and the
 w-marginal, ``_Reconstruction`` for the channel-native inverse)
-accumulate over translations without a dense field.  ``moyal_check``
-builds its two fields with ``stqolct_forward`` and reduces their rows.
-Identity checks (energy, Moyal, reconstruction) integrate over all
-translations and therefore require stride 1.
+accumulate over translations without a dense field, fed by the engine
+(``_stream``) or by the rows of a dense field (``_replay``).
+``moyal_check`` builds its two fields with ``stqolct_forward`` and sums
+their rows serially.  Identity checks (energy, Moyal, reconstruction)
+integrate over all translations and therefore require stride 1.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -67,6 +81,71 @@ __all__ = [
 ]
 
 _ROUTES = ("direct", "via_qolct", "via_qft")
+
+#: the u1 rows of a pass are cut into this many contiguous chunks whatever
+#: the worker count, so sums merged in chunk order do not depend on it
+_CHUNKS = 8
+
+#: ``pool``: the (executor, workers) of the row pass running on this thread
+_local = threading.local()
+
+
+def _max_workers():
+    """Worker count of verify's pool and of the row pool, from QTF_THREADS.
+
+    A positive integer is the count; unset or 0 means the CPUs this
+    process may run on, at most 4.
+    """
+    raw = os.environ.get("QTF_THREADS", "").strip()
+    if raw and raw != "0":
+        try:
+            request = int(raw)
+        except ValueError:
+            raise ParameterError(f"QTF_THREADS must be an integer, got {raw!r}") from None
+        if request < 0:
+            raise ParameterError(f"QTF_THREADS must be nonnegative, got {request}")
+        return max(1, request)
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)
+
+
+@contextmanager
+def _row_pool():
+    """(executor, workers) for the chunks of a row pass; executor None runs them inline.
+
+    Only the outermost pass on a thread opens a pool, and only for more
+    than one worker.  A pass nested in it shares it, and a pass under
+    ``_run_inline`` runs inline, so pools are never nested.
+    """
+    if hasattr(_local, "pool"):
+        yield _local.pool
+        return
+    workers = _max_workers()
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
+        _local.pool = (executor, workers)
+        try:
+            yield _local.pool
+        finally:
+            del _local.pool
+
+
+def _run_inline(task):
+    """task(), every row pass it makes running its chunks on this thread.
+
+    For the tasks of a pool that is already busy (verify's).
+    """
+    _local.pool = (None, 1)
+    try:
+        return task()
+    finally:
+        del _local.pool
+
+
+def _chunks(n_rows):
+    """The fixed contiguous u1 chunks of a pass; empty ones are skipped."""
+    bounds = [n_rows * k // _CHUNKS for k in range(_CHUNKS + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _u_axis(ax: Axis, stride: int) -> Axis:
@@ -196,11 +275,25 @@ class _Translations:
         return rows[:, :plan.u2.n].transpose(0, 2, 3, 1)
 
 
-def _rows(f: GridSignal2D, plan: StqolctPlan):
-    """The ST-QOLCT field of f, one u1 row at a time.
+class _Buffers:
+    """One worker's scratch for a row pass, reused across its chunks.
 
-    Yields a (nw1, nw2, nu2, 4) block per translation row i1.  The block
-    buffer is reused: a consumer copies what it keeps past its turn.
+    ``block`` holds the current (nw1, nw2, nu2, 4) row.  The row engine
+    also uses the complex ``p``, ``m`` and ``tmp``; once the block is
+    written, the reducers may use ``p``, ``m`` and the real ``sq``.
+    """
+
+    def __init__(self, shape):
+        self.block = np.empty(shape + (4,))
+        self.p, self.m, self.tmp = (np.empty(shape, dtype=complex) for _ in range(3))
+        self.sq = np.empty(shape)
+
+
+def _engine(f: GridSignal2D, plan: StqolctPlan):
+    """The row engine of f: ``row(i1, buffers)`` computes translation row i1.
+
+    The phase planes, the channel products and the window translations
+    are built here, once per pass, and ``row`` only reads them.
     """
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     planes = _phase_planes(plan.qolct._forward_profiles)
@@ -211,13 +304,11 @@ def _rows(f: GridSignal2D, plan: StqolctPlan):
     out_p = out_p[:, :, None]
     out_m = out_m[:, :, None]
     windows = _Translations(plan, _window_matrix(plan))
+
     # Channels are laid out (w1, w2, u2) like the block, with the
     # translations of a row as the fastest axis.
-    block = np.empty((plan.qolct.w1.n, plan.qolct.w2.n, plan.u2.n, 4))
-    p = np.empty(block.shape[:3], dtype=complex)
-    m = np.empty_like(p)
-    tmp = np.empty_like(p)
-    for i1 in range(plan.u1.n):
+    def row(i1, buffers):
+        p, m, tmp = buffers.p, buffers.m, buffers.tmp
         w_pp, w_pm, w_mp, w_mm = windows.row(i1)
         np.multiply(w_pp, src_p[0], out=p)
         p += np.multiply(w_pm, src_p[1], out=tmp)
@@ -227,19 +318,78 @@ def _rows(f: GridSignal2D, plan: StqolctPlan):
         _dft2(m, signs_m)
         p *= out_p
         m *= out_m
-        yield _join_channels(p, m, out=block)
+        _join_channels(p, m, out=buffers.block)
+
+    return row
 
 
-def _feed(rows, *reducers):
-    """Pass every row block, in u1 order, to each reducer's add(i1, block)."""
-    for i1, block in enumerate(rows):
-        for reducer in reducers:
-            reducer.add(i1, block)
+def _pass(shape, row, *reducers):
+    """Feed every u1 row of a (nw1, nw2, nu1, nu2) field to the reducers.
+
+    ``row(i1, buffers)`` writes row i1 into ``buffers.block``; each
+    reducer then gets ``add(i1, buffers, partial)``.  Each chunk of
+    ``_chunks`` folds its rows, in order, into partials of its own, and
+    the partials are merged in chunk order.  The chunks run on
+    ``_row_pool``'s executor, or inline, with the same result to the
+    last bit.  The calling thread allocates the partials and one
+    ``_Buffers`` per worker; a worker takes a set from a queue for each
+    chunk and puts it back.  (A buffer that a worker thread allocates and
+    frees stays behind in that thread's malloc arena.)
+    """
+    chunks = _chunks(shape[2])
+    with _row_pool() as (executor, workers):
+        free = queue.SimpleQueue()
+        for _ in range(min(workers, len(chunks))):
+            free.put(_Buffers(shape[:2] + shape[3:]))
+        jobs = [(rows, [r.partial() for r in reducers]) for rows in chunks]
+
+        def run(job):
+            rows, partials = job
+            buffers = free.get()
+            try:
+                for i1 in rows:
+                    row(i1, buffers)
+                    for reducer, partial in zip(reducers, partials):
+                        reducer.add(i1, buffers, partial)
+            finally:
+                free.put(buffers)
+            return partials
+
+        for partials in (map if executor is None else executor.map)(run, jobs):
+            for reducer, partial in zip(reducers, partials):
+                reducer.merge(partial)
+
+
+def _field_shape(plan: StqolctPlan):
+    return plan.qolct.w1.n, plan.qolct.w2.n, plan.u1.n, plan.u2.n
 
 
 def _stream(f: GridSignal2D, plan: StqolctPlan, *reducers):
-    """One streamed pass of the row engine over f; no dense field is built."""
-    _feed(_rows(f, plan), *reducers)
+    """One pass of the row engine over f; no dense field is built."""
+    _pass(_field_shape(plan), _engine(f, plan), *reducers)
+
+
+def _replay(field: StqolctField, *reducers):
+    """One pass over the rows of a dense field."""
+    # One strided copy per row beats strided reads in every reducer.
+    _pass(field.data.shape[:4],
+          lambda i1, buffers: np.copyto(buffers.block, field.data[:, :, i1]), *reducers)
+
+
+class _DenseField:
+    """The reducer that keeps every row, in a (nw1, nw2, nu1, nu2, 4) array."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def partial(self):
+        return None
+
+    def add(self, i1, buffers, partial):
+        self.data[:, :, i1] = buffers.block
+
+    def merge(self, partial):
+        pass
 
 
 def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
@@ -275,10 +425,9 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
     _check_route(route)
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     qplan = plan.qolct
-    out = np.empty((qplan.w1.n, qplan.w2.n, plan.u1.n, plan.u2.n, 4))
+    out = np.empty(_field_shape(plan) + (4,))
     if route == "via_qolct":
-        for i1, block in enumerate(_rows(f, plan)):
-            out[:, :, i1] = block
+        _stream(f, plan, _DenseField(out))
     else:
         # the oracles: one modified signal and one transform per translation
         qft_plan = QftPlan.for_axes(plan.ax1, plan.ax2)
@@ -294,12 +443,13 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
 
 
 class _FieldSums:
-    """|S|^2 reductions of a field, accumulated one u1 row at a time.
+    """|S|^2 reductions of a field, a ``_pass`` reducer.
 
     ``energy`` is the quadrature sum of |S|^2, ``sup`` the largest |S|,
     ``w_marginal`` the u-integrated |S|^2 on the (w1, w2) grid (cells of
     area ``w_cell``), and ``u_energy`` the w-summed |S|^2 per translation
-    (no cell weights).
+    (no cell weights).  Only the marginal is summed over rows, so only it
+    has a partial; the per-row sums and peaks go to disjoint rows.
     """
 
     def __init__(self, w1, w2, u1, u2):
@@ -308,7 +458,7 @@ class _FieldSums:
         self._du = u1.step * u2.step
         self._marginal = np.zeros((w1.n, w2.n))
         self.u_energy = np.zeros((u1.n, u2.n))
-        self._peak = 0.0
+        self._peaks = np.zeros(u1.n)
 
     @classmethod
     def for_plan(cls, plan: StqolctPlan):
@@ -317,14 +467,20 @@ class _FieldSums:
     @classmethod
     def of_field(cls, field: StqolctField):
         sums = cls(field.w1, field.w2, field.u1, field.u2)
-        _feed(field.rows(), sums)
+        _replay(field, sums)
         return sums
 
-    def add(self, i1, block):
-        sq = np.einsum("abuc,abuc->abu", block, block)
-        self._marginal += sq.sum(axis=2)
+    def partial(self):
+        return np.zeros_like(self._marginal)
+
+    def add(self, i1, buffers, partial):
+        sq = np.einsum("abuc,abuc->abu", buffers.block, buffers.block, out=buffers.sq)
+        partial += sq.sum(axis=2)
         self.u_energy[i1] = sq.sum(axis=(0, 1))
-        self._peak = max(self._peak, float(sq.max()))
+        self._peaks[i1] = sq.max()
+
+    def merge(self, partial):
+        self._marginal += partial
 
     @property
     def energy(self):
@@ -332,7 +488,7 @@ class _FieldSums:
 
     @property
     def sup(self):
-        return math.sqrt(self._peak)
+        return math.sqrt(float(self._peaks.max()))
 
     @property
     def w_marginal(self):
@@ -386,9 +542,11 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
     conj(S_g^psi) dV of the two stride-1 fields, accumulated row by row
     from per-row 4x4 component sums.
     """
-    fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
-                                                      qplan.ax1, qplan.ax2, win, stride=1))
-              for sig, win in ((f, phi), (g, psi))]
+    with _row_pool():
+        fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
+                                                          qplan.ax1, qplan.ax2, win,
+                                                          stride=1))
+                  for sig, win in ((f, phi), (g, psi))]
     gram = np.zeros((4, 4))
     for a, b in zip(fields[0].rows(), fields[1].rows()):
         gram += a.reshape(-1, 4).T @ b.reshape(-1, 4)
@@ -399,16 +557,17 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
 
 
 class _Reconstruction:
-    """Channel-native inverse of the row engine, fed one u1 row at a time.
+    """Channel-native inverse of the row engine, a ``_pass`` reducer.
 
     Each coefficient slice goes back through the inverse channel planes;
     the result is weighted by the translated window (the conjugate
     transpose of the forward window matrix) and summed over translations.
+    The planes and window translations are built once and only read by
+    ``add``; a partial is the (4, n1, n2) sum of its rows.  The caller
+    checks that the translation grid has stride 1.
     """
 
     def __init__(self, plan: StqolctPlan):
-        if plan.stride != 1:
-            raise ParameterError("reconstruction requires a stride-1 translation grid")
         self._plan = plan
         self._planes = _phase_planes(plan.qolct._inverse_profiles)
         w_pp, w_pm, w_mp, w_mm = _window_matrix(plan).conj()
@@ -416,14 +575,20 @@ class _Reconstruction:
         # sums over u of p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)
         self._acc = np.zeros((4, plan.ax1.n, plan.ax2.n), dtype=complex)
 
-    def add(self, i1, block):
-        p, m = _split_channels(block)
+    def partial(self):
+        return np.zeros_like(self._acc)
+
+    def add(self, i1, buffers, partial):
+        p, m = _split_channels(buffers.block, out=(buffers.p, buffers.m))
         for chan, (head, _, signs) in zip((p, m), self._planes):
             chan *= head[:, :, None]
             _dft2(chan, signs)
         w = self._windows.row(i1)
         for k, chan in enumerate((p, m, p, m)):
-            self._acc[k] += np.einsum("klu,klu->kl", chan, w[k])
+            partial[k] += np.einsum("klu,klu->kl", chan, w[k])
+
+    def merge(self, partial):
+        self._acc += partial
 
     def result(self) -> GridSignal2D:
         plan = self._plan
@@ -453,7 +618,7 @@ def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:
         raise ParameterError("reconstruction requires a stride-1 translation grid")
     if mode == "fast":
         rec = _Reconstruction(plan)
-        _feed(field.rows(), rec)
+        _replay(field, rec)
         return rec.result()
     # the oracle: direct inverse quadrature of every slice
     acc = np.zeros((plan.ax1.n, plan.ax2.n, 4))

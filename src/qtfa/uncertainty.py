@@ -30,7 +30,7 @@ from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
 from .specialfn import digamma, gamma
-from .stqolct import (StqolctField, StqolctPlan, _FieldSums, modified_signal,
+from .stqolct import (StqolctField, StqolctPlan, _FieldSums, _row_pool, modified_signal,
                       stqolct_forward)
 
 __all__ = [
@@ -128,7 +128,8 @@ def _w_marginal(f, plan, marginal) -> EnergyMap:
     if marginal is None:
         # The dense field, not a streamed pass: the benchmark's trace
         # test counts the fields donoho_stark_check builds.
-        return field_w_energy_map(stqolct_forward(f, plan))
+        with _row_pool():
+            return field_w_energy_map(stqolct_forward(f, plan))
     w1, w2 = plan.qolct.w1, plan.qolct.w2
     if (marginal.values.shape != (w1.n, w2.n)
             or not math.isclose(marginal.cell_area, w1.step * w2.step, rel_tol=1e-12)):

@@ -8,15 +8,15 @@ recorded tolerance) means pass.  A handful of records are diagnostics
 that never gate the exit status; everything else must pass.
 
 Checks are independent and run on a small thread pool (capped by the
-QTF_THREADS environment variable); each check is deterministic for a
-fixed config, so results do not depend on the degree of parallelism.
+QTF_THREADS environment variable); the row passes inside a task run their
+chunks inline.  Each check is deterministic for a fixed config, so
+results do not depend on the degree of parallelism.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,8 +28,8 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .specialfn import gamma
-from .stqolct import (StqolctPlan, _FieldSums, _Reconstruction, _stream, modified_signal,
-                      moyal_check, stqolct_forward)
+from .stqolct import (StqolctPlan, _FieldSums, _max_workers, _Reconstruction, _run_inline,
+                      _stream, modified_signal, moyal_check, stqolct_forward)
 from .uncertainty import (InequalityResult, _marginal_map, beurling_integral,
                           donoho_stark_check, hardy_decay_fit, log_up_check,
                           log_up_constant, pitt_check, pitt_constant)
@@ -496,19 +496,6 @@ def _check_moyal(config, pset, want):
     return results
 
 
-def _max_workers():
-    raw = os.environ.get("QTF_THREADS", "").strip()
-    if raw and raw != "0":
-        try:
-            request = int(raw)
-        except ValueError:
-            raise ParameterError(f"QTF_THREADS must be an integer, got {raw!r}") from None
-        if request < 0:
-            raise ParameterError(f"QTF_THREADS must be nonnegative, got {request}")
-        return max(1, request)
-    return min(4, os.cpu_count() or 1)
-
-
 def run_verification(config: RunConfig, only=None):
     """Run the corpus and return results in deterministic task order.
 
@@ -536,8 +523,9 @@ def run_verification(config: RunConfig, only=None):
                  if not selected.isdisjoint(_CHECKS[t[0].split(":", 1)[0]])]
 
     results = []
+    # the tasks already fill the pool, so their row passes run inline
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for chunk in pool.map(lambda item: item[1](), tasks):
+        for chunk in pool.map(lambda item: _run_inline(item[1]), tasks):
             results.extend(chunk)
     if selected is not None:
         results = [r for r in results if r.name in selected]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qtfa import Axis, GridSignal2D, OlctParams
+from qtfa import Axis, GridSignal2D, OlctParams, stqolct
 
 
 @pytest.fixture
@@ -37,3 +37,17 @@ def rectangular_axes(draw):
                            max_size=2, unique=True))
     return tuple(Axis(n, draw(st.floats(-4.0, 0.0)), draw(st.floats(0.1, 1.0)))
                  for n in (n1, n2))
+
+
+@pytest.fixture
+def row_pools(monkeypatch):
+    """The thread pools the ST-QOLCT row passes start, in order."""
+    started = []
+
+    class Counted(stqolct.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(stqolct, "ThreadPoolExecutor", Counted)
+    return started

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,8 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
                   translate_window)
 from qtfa.errors import ParameterError, ShapeError
-from qtfa.stqolct import _FieldSums, _Reconstruction, _stream
+from qtfa.stqolct import _CHUNKS, _FieldSums, _max_workers, _Reconstruction, _stream
+from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
 SHEAR = OlctParams(1, 1, 0, 1, 0, 0)
@@ -335,6 +338,16 @@ def rectangular_grids(draw):
 @given(params1=sextets(), params2=sextets(), grid=rectangular_grids(),
        seed=st.integers(0, 2**32 - 2))
 def test_row_engine_matches_direct(params1, params2, grid, seed):
+    _check_row_engine_against_direct(params1, params2, grid, seed)
+
+
+def test_row_engine_matches_direct_on_two_threads(monkeypatch):
+    monkeypatch.setenv("QTF_THREADS", "2")
+    grid = (Axis.centered(12, 6.0), Axis.centered(8, 3.0), 1)
+    _check_row_engine_against_direct(MIXED, NEG_B, grid, seed=404)
+
+
+def _check_row_engine_against_direct(params1, params2, grid, seed):
     ax1, ax2, stride = grid
     window = random_signal(ax1, ax2, seed=seed)
     plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
@@ -389,3 +402,75 @@ def test_streamed_reducers_match_dense_reductions(params):
         lhs = np.sum(qmul(dense[id(a), id(wa)], qconj(dense[id(b), id(wb)])),
                      axis=(0, 1, 2, 3)) * field.cell_volume
         assert _rel(res.lhs, lhs) < 1e-12
+
+
+# -- chunked row passes -----------------------------------------------------
+
+def _pass_outputs(f, plan):
+    """Every row-pass result for one signal and plan, as a dict of arrays."""
+    field = stqolct_forward(f, plan)
+    out = {"forward": field.data, "energy": stqolct_energy(field),
+           "marginal": field_w_energy_map(field).values}
+    sums = _FieldSums.for_plan(plan)
+    reducers = [sums]
+    if plan.stride == 1:
+        out["reconstruct"] = stqolct_reconstruct(field).data
+        reducers.append(_Reconstruction(plan))
+    _stream(f, plan, *reducers)
+    out.update(stream_energy=sums.energy, stream_sup=sums.sup,
+               stream_marginal=sums.w_marginal, stream_u_energy=sums.u_energy)
+    if plan.stride == 1:
+        out["stream_reconstruct"] = reducers[1].result().data
+    return out
+
+
+@pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
+def test_row_passes_do_not_depend_on_the_worker_count(monkeypatch, n1, n2, stride):
+    # 12 rows do not divide into the chunks; 4 rows leave chunks empty
+    assert n1 // stride % _CHUNKS or n1 // stride < _CHUNKS
+    ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
+    plan = make_plan(ax1, ax2, stride=stride)
+    f = random_signal(ax1, ax2, seed=410)
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QTF_THREADS", threads)
+        runs.append(_pass_outputs(f, plan))
+    for run in runs[1:]:
+        assert run.keys() == runs[0].keys()
+        for key, value in run.items():
+            assert np.array_equal(value, runs[0][key]), key
+
+
+class TestRowPool:
+    def test_bad_thread_env_rejected_by_a_direct_pass(self, monkeypatch, small_axes):
+        monkeypatch.setenv("QTF_THREADS", "many")
+        plan = make_plan(*small_axes, stride=4)
+        with pytest.raises(ParameterError):
+            stqolct_forward(random_signal(*small_axes, seed=411), plan)
+
+    def test_auto_workers_follow_the_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("QTF_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _max_workers() == 1
+
+    def test_one_pool_per_direct_call(self, monkeypatch, row_pools, small_axes):
+        monkeypatch.setenv("QTF_THREADS", "2")
+        plan = make_plan(*small_axes)
+        f = random_signal(*small_axes, seed=412)
+        field = stqolct_forward(f, plan)
+        assert len(row_pools) == 1
+        stqolct_reconstruct(field)
+        assert len(row_pools) == 2
+        # the calls that make two passes share one pool
+        moyal_check(f, f, plan.window, plan.window, plan.qolct)
+        assert len(row_pools) == 3
+        donoho_stark_check(f, plan, 0.1, 0.1)
+        assert len(row_pools) == 4
+
+    def test_no_pool_on_one_thread(self, monkeypatch, row_pools, small_axes):
+        monkeypatch.setenv("QTF_THREADS", "1")
+        plan = make_plan(*small_axes)
+        f = random_signal(*small_axes, seed=413)
+        stqolct_reconstruct(stqolct_forward(f, plan))
+        moyal_check(f, f, plan.window, plan.window, plan.qolct)
+        assert row_pools == []

@@ -171,6 +171,14 @@ class TestRunVerification:
         assert [(r.name, r.lhs, r.rhs) for r in serial] == \
                [(r.name, r.lhs, r.rhs) for r in parallel]
 
+    def test_row_passes_inside_tasks_start_no_pool(self, monkeypatch, row_pools):
+        # verify's own pool is busy with tasks; nesting would oversubscribe it
+        monkeypatch.setenv("QTF_THREADS", "2")
+        run_verification(small_config(), only=["energy", "reconstruction",
+                                                "donoho-stark-support",
+                                                "moyal-shared-window"])
+        assert row_pools == []
+
     def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("QTF_THREADS", "many")
         with pytest.raises(ParameterError):
