@@ -17,7 +17,7 @@ from .qft import QftPlan, qft_forward
 from .qolct import OlctParams, QolctPlan, qolct_forward
 from .quaternion import quat
 from .stqolct import StqolctPlan, stqolct_forward
-from .verify import (RunConfig, default_config_dict, format_report_table,
+from .verify import (UNGATED_CHECKS, RunConfig, default_config_dict, format_report_table,
                      gated_failures, load_report, run_verification, write_report)
 
 
@@ -169,7 +169,8 @@ def _cmd_verify(args):
         state = "pass" if res.passed else "FAIL"
         print(f"[{state}] {res.name} lhs={res.lhs:.6g} rhs={res.rhs:.6g} "
               f"margin={res.margin:.3g}")
-    print(f"{len(results)} checks, {len(failures)} gated failures "
+    gated = sum(res.name not in UNGATED_CHECKS for res in results)
+    print(f"{len(results)} checks, {len(failures)} gated failures ({gated} gated) "
           f"-> report {args.out}")
     return 1 if failures else 0
 

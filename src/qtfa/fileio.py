@@ -21,6 +21,7 @@ offending byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -148,15 +149,16 @@ def _load_csv(path):
                 raise FormatError(f"{path}: expected 6 fields, got {len(fields)}",
                                   offset=offset)
             try:
-                rows.append([float(v) for v in fields])
+                values = [float(v) for v in fields]
             except ValueError:
                 raise FormatError(f"{path}: unparsable number", offset=offset) from None
+            if not all(map(math.isfinite, values)):
+                raise FormatError(f"{path}: non-finite value", offset=offset)
+            rows.append(values)
         offset += len(line) + 1
     if not rows:
         raise FormatError(f"{path}: no data rows", offset=len(_CSV_HEADER) + 1)
     table = np.array(rows)
-    if not np.isfinite(table).all():
-        raise FormatError(f"{path}: non-finite value")
     x1, x2 = table[:, 0], table[:, 1]
     n2 = int(np.argmax(x1 != x1[0])) if (x1 != x1[0]).any() else len(x1)
     if n2 < 2 or len(rows) % n2:

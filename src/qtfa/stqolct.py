@@ -37,14 +37,18 @@ A pass cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a count that
 does not depend on the number of workers.  Each chunk feeds its rows in
 order to partials of its own, and the partials are merged in chunk
 order, so every sum is the same to the last bit whether the chunks run
-on the pool of ``_row_pool`` or inline.  ``stqolct_forward`` copies the
-rows into the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64,
+on a pool or inline.  ``_pass`` alone decides which, from the calling
+thread: on the main thread the chunks run on a pool of
+``_max_workers()`` threads (``QTF_THREADS``); any other thread is
+already a worker of some pool (verify's, or a caller's), so there they
+run inline and pools never nest.  ``stqolct_forward`` copies the rows
+into the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64,
 stride 1).  The reducers (``_FieldSums`` for energy, sup modulus and the
 w-marginal, ``_Reconstruction`` for the channel-native inverse)
 accumulate over translations without a dense field, fed by the engine
 (``_stream``) or by the rows of a dense field (``_replay``).
-``moyal_check`` builds its two fields with ``stqolct_forward`` and sums
-their rows serially.  Identity checks (energy, Moyal, reconstruction)
+``moyal_check`` builds its two fields with ``stqolct_forward`` and takes
+their Gram sums as one matrix product.  Identity checks (energy, Moyal, reconstruction)
 integrate over all translations and therefore require stride 1.
 """
 
@@ -55,7 +59,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -86,12 +90,9 @@ _ROUTES = ("direct", "via_qolct", "via_qft")
 #: the worker count, so sums merged in chunk order do not depend on it
 _CHUNKS = 8
 
-#: ``pool``: the (executor, workers) of the row pass running on this thread
-_local = threading.local()
-
 
 def _max_workers():
-    """Worker count of verify's pool and of the row pool, from QTF_THREADS.
+    """Worker count of verify's pool and of a main-thread row pass, from QTF_THREADS.
 
     A positive integer is the count; unset or 0 means the CPUs this
     process may run on, at most 4.
@@ -110,48 +111,22 @@ def _max_workers():
     return min(4, os.cpu_count() or 1)
 
 
-@contextmanager
-def _row_pool():
-    """(executor, workers) for the chunks of a row pass; executor None runs them inline.
-
-    Only the outermost pass on a thread opens a pool, and only for more
-    than one worker.  A pass nested in it shares it, and a pass under
-    ``_run_inline`` runs inline, so pools are never nested.
-    """
-    if hasattr(_local, "pool"):
-        yield _local.pool
-        return
-    workers = _max_workers()
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
-        _local.pool = (executor, workers)
-        try:
-            yield _local.pool
-        finally:
-            del _local.pool
-
-
-def _run_inline(task):
-    """task(), every row pass it makes running its chunks on this thread.
-
-    For the tasks of a pool that is already busy (verify's).
-    """
-    _local.pool = (None, 1)
-    try:
-        return task()
-    finally:
-        del _local.pool
-
-
 def _chunks(n_rows):
     """The fixed contiguous u1 chunks of a pass; empty ones are skipped."""
     bounds = [n_rows * k // _CHUNKS for k in range(_CHUNKS + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
+def _u_first(n, stride):
+    """Sample shift of the first translation node, a multiple of the
+    stride, so that node n // 2 // stride is u = 0."""
+    return -(n // 2 // stride) * stride
+
+
 def _u_axis(ax: Axis, stride: int) -> Axis:
     # Nodes at integer multiples of the spatial step (cell edges), so
     # every translation is sample-aligned; u = 0 is always on the grid.
-    return Axis(ax.n // stride, -(ax.n // 2) * ax.step, stride * ax.step)
+    return Axis(ax.n // stride, _u_first(ax.n, stride) * ax.step, stride * ax.step)
 
 
 @dataclass
@@ -189,8 +164,8 @@ class StqolctPlan:
 
     def shift_counts(self, i1, i2):
         """Sample shifts of the window for translation-grid index (i1, i2)."""
-        return (i1 * self.stride - self.ax1.n // 2,
-                i2 * self.stride - self.ax2.n // 2)
+        return (i1 * self.stride + _u_first(self.ax1.n, self.stride),
+                i2 * self.stride + _u_first(self.ax2.n, self.stride))
 
     def translation(self, i1, i2):
         """The translation u at grid index (i1, i2)."""
@@ -218,11 +193,6 @@ class StqolctField:
     @property
     def cell_volume(self):
         return self.w1.step * self.w2.step * self.u1.step * self.u2.step
-
-    def rows(self):
-        """The u1 rows of the field, each a contiguous (nw1, nw2, nu2, 4) copy."""
-        # One strided copy per row beats strided reads in every reducer pass.
-        return (np.ascontiguousarray(self.data[:, :, i1]) for i1 in range(self.u1.n))
 
 
 def modified_signal(f: GridSignal2D, window: GridSignal2D, u) -> GridSignal2D:
@@ -256,8 +226,8 @@ class _Translations:
 
     def __init__(self, plan, planes):
         n1, n2 = plan.ax1.n, plan.ax2.n
-        # Translation index i shifts by m = i*stride - n//2 samples; the
-        # shifted plane is pad[before - m : before - m + n].
+        # Translation index i shifts by m = shift_counts(i) >= -(n//2)
+        # samples; the shifted plane is pad[before - m : before - m + n].
         self._before = tuple(max(0, plan.shift_counts(plan.u1.n - 1, plan.u2.n - 1)[k])
                              for k in range(2))
         pad = np.zeros((len(planes), self._before[0] + n1 + n1 // 2,
@@ -329,17 +299,22 @@ def _pass(shape, row, *reducers):
     ``row(i1, buffers)`` writes row i1 into ``buffers.block``; each
     reducer then gets ``add(i1, buffers, partial)``.  Each chunk of
     ``_chunks`` folds its rows, in order, into partials of its own, and
-    the partials are merged in chunk order.  The chunks run on
-    ``_row_pool``'s executor, or inline, with the same result to the
-    last bit.  The calling thread allocates the partials and one
+    the partials are merged in chunk order.  On the main thread the
+    chunks run on a pool of ``_max_workers()`` threads; on any other
+    thread, such as a task of verify's pool or of a caller's, they run
+    inline, so pools never nest.  Either way the result is the same to
+    the last bit.  The calling thread allocates the partials and one
     ``_Buffers`` per worker; a worker takes a set from a queue for each
     chunk and puts it back.  (A buffer that a worker thread allocates and
     frees stays behind in that thread's malloc arena.)
     """
     chunks = _chunks(shape[2])
-    with _row_pool() as (executor, workers):
+    workers = 1
+    if threading.current_thread() is threading.main_thread():
+        workers = min(_max_workers(), len(chunks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
         free = queue.SimpleQueue()
-        for _ in range(min(workers, len(chunks))):
+        for _ in range(workers):
             free.put(_Buffers(shape[:2] + shape[3:]))
         jobs = [(rows, [r.partial() for r in reducers]) for rows in chunks]
 
@@ -539,17 +514,14 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
     """Both sides of the Moyal identity for S_f^phi and S_g^psi.
 
     The left-hand side is the quadrature inner product sum S_f^phi
-    conj(S_g^psi) dV of the two stride-1 fields, accumulated row by row
-    from per-row 4x4 component sums.
+    conj(S_g^psi) dV of the two stride-1 fields, from their 4x4
+    component sums taken as one matrix product.
     """
-    with _row_pool():
-        fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
-                                                          qplan.ax1, qplan.ax2, win,
-                                                          stride=1))
-                  for sig, win in ((f, phi), (g, psi))]
-    gram = np.zeros((4, 4))
-    for a, b in zip(fields[0].rows(), fields[1].rows()):
-        gram += a.reshape(-1, 4).T @ b.reshape(-1, 4)
+    fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
+                                                      qplan.ax1, qplan.ax2, win, stride=1))
+              for sig, win in ((f, phi), (g, psi))]
+    # both fields are contiguous, so the reshapes are views, not copies
+    gram = fields[0].data.reshape(-1, 4).T @ fields[1].data.reshape(-1, 4)
     ip_fg = inner_product(f, g)
     ip_pp = inner_product(phi, psi)
     return MoyalResult(lhs=_conj_product_sum(gram) * fields[0].cell_volume,

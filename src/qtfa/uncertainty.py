@@ -30,8 +30,7 @@ from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
 from .specialfn import digamma, gamma
-from .stqolct import (StqolctField, StqolctPlan, _FieldSums, _row_pool, modified_signal,
-                      stqolct_forward)
+from .stqolct import StqolctField, StqolctPlan, _FieldSums, modified_signal, stqolct_forward
 
 __all__ = [
     "CellSet",
@@ -128,8 +127,7 @@ def _w_marginal(f, plan, marginal) -> EnergyMap:
     if marginal is None:
         # The dense field, not a streamed pass: the benchmark's trace
         # test counts the fields donoho_stark_check builds.
-        with _row_pool():
-            return field_w_energy_map(stqolct_forward(f, plan))
+        return field_w_energy_map(stqolct_forward(f, plan))
     w1, w2 = plan.qolct.w1, plan.qolct.w2
     if (marginal.values.shape != (w1.n, w2.n)
             or not math.isclose(marginal.cell_area, w1.step * w2.step, rel_tol=1e-12)):

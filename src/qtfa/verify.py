@@ -28,8 +28,8 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .specialfn import gamma
-from .stqolct import (StqolctPlan, _FieldSums, _max_workers, _Reconstruction, _run_inline,
-                      _stream, modified_signal, moyal_check, stqolct_forward)
+from .stqolct import (StqolctPlan, _FieldSums, _max_workers, _Reconstruction, _stream,
+                      modified_signal, moyal_check, stqolct_forward)
 from .uncertainty import (InequalityResult, _marginal_map, beurling_integral,
                           donoho_stark_check, hardy_decay_fit, log_up_check,
                           log_up_constant, pitt_check, pitt_constant)
@@ -523,9 +523,9 @@ def run_verification(config: RunConfig, only=None):
                  if not selected.isdisjoint(_CHECKS[t[0].split(":", 1)[0]])]
 
     results = []
-    # the tasks already fill the pool, so their row passes run inline
+    # the row passes inside a task run inline: they are not on the main thread
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for chunk in pool.map(lambda item: _run_inline(item[1]), tasks):
+        for chunk in pool.map(lambda item: item[1](), tasks):
             results.extend(chunk)
     if selected is not None:
         results = [r for r in results if r.name in selected]

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qtfa import load_field, load_signal
 from qtfa.cli import main
+from qtfa.verify import UNGATED_CHECKS
 
 
 def run(*args):
@@ -163,6 +165,18 @@ class TestVerify:
         assert len(records) >= 20
         out = capsys.readouterr().out
         assert "gated failures" in out
+
+    def test_verdict_line_counts_checks_and_gated_records(self, tmp_path, capsys):
+        report = tmp_path / "report.jsonl"
+        assert run("verify", "--n", "16", "--out", report) == 0
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert verdict == f"113 checks, 0 gated failures (97 gated) -> report {report}"
+        names = [json.loads(line)["name"] for line in report.read_text().splitlines()]
+        assert len(names) == 113
+        assert sum(name not in UNGATED_CHECKS for name in names) == 97
+        # the form the benchmark's verify-corpus workload parses
+        parsed = re.search(r"(\d+) checks, (\d+) gated failures", verdict)
+        assert parsed.groups() == ("113", "0")
 
     def test_only_filter(self, tmp_path):
         report = tmp_path / "report.jsonl"

@@ -110,6 +110,19 @@ class TestCsv:
         with pytest.raises(FormatError):
             load_signal(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_its_line(self, signal, tmp_path, value):
+        path = tmp_path / "f.csv"
+        save_signal(signal, path)
+        lines = path.read_text().split("\n")
+        fields = lines[3].split(",")
+        fields[4] = value
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        with pytest.raises(FormatError) as err:
+            load_signal(path)
+        assert err.value.offset == sum(len(line) + 1 for line in lines[:3])
+
 
 class TestQtf4:
     @pytest.fixture

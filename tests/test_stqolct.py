@@ -1,4 +1,6 @@
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,6 +37,17 @@ class TestPlan:
         ratio = plan.u1.coords / plan.ax1.step
         assert np.allclose(ratio, np.round(ratio), atol=1e-12)
         assert 0.0 in np.round(plan.u1.coords / plan.ax1.step) * plan.ax1.step
+
+    @pytest.mark.parametrize("n, stride", [(12, 4), (20, 4), (6, 2)])
+    def test_u_zero_is_on_the_grid_when_the_stride_does_not_divide_n_half(self, n, stride):
+        ax = Axis.centered(n, 6.0)
+        plan = make_plan(ax, ax, stride=stride)
+        centre = n // 2 // stride
+        assert plan.translation(centre, centre) == (0.0, 0.0)
+        f = random_signal(ax, ax, seed=300 + n)
+        fast = stqolct_forward(f, plan, "via_qolct").data
+        direct = stqolct_forward(f, plan, "direct").data
+        assert np.max(np.abs(fast - direct)) < 1e-9
 
     def test_stride_must_divide(self, small_axes):
         with pytest.raises(ParameterError):
@@ -461,11 +474,38 @@ class TestRowPool:
         assert len(row_pools) == 1
         stqolct_reconstruct(field)
         assert len(row_pools) == 2
-        # the calls that make two passes share one pool
+        # one pool per pass: two forwards, then a forward and its replay
         moyal_check(f, f, plan.window, plan.window, plan.qolct)
-        assert len(row_pools) == 3
-        donoho_stark_check(f, plan, 0.1, 0.1)
         assert len(row_pools) == 4
+        donoho_stark_check(f, plan, 0.1, 0.1)
+        assert len(row_pools) == 6
+
+    @pytest.mark.parametrize("launch", ["thread", "caller-pool"])
+    def test_passes_off_the_main_thread_run_inline(self, monkeypatch, row_pools, launch):
+        monkeypatch.setenv("QTF_THREADS", "2")
+        ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
+        plan = make_plan(ax1, ax2)
+        f = random_signal(ax1, ax2, seed=414)
+        main = _pass_outputs(f, plan)
+        assert len(row_pools) == 5  # one per pass
+        del row_pools[:]
+        if launch == "thread":
+            outs = []
+            worker = threading.Thread(target=lambda: outs.append(_pass_outputs(f, plan)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        else:
+            # two at once, as a caller's own 2-worker pool would run them
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(_pass_outputs, f, plan) for _ in range(2)]
+                outs = [future.result(timeout=60) for future in futures]
+        assert row_pools == []
+        assert outs
+        for out in outs:
+            assert out.keys() == main.keys()
+            for key, value in out.items():
+                assert np.array_equal(value, main[key]), key
 
     def test_no_pool_on_one_thread(self, monkeypatch, row_pools, small_axes):
         monkeypatch.setenv("QTF_THREADS", "1")
