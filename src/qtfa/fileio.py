@@ -37,6 +37,8 @@ _QS2D_HEADER = struct.Struct("<4s3I4d")
 _QTF4_MAGIC = b"QTF4"
 _QTF4_HEADER = struct.Struct("<4s5I8d12d")
 _CSV_HEADER = "x1,x2,q0,q1,q2,q3"
+#: f64 values per payload read: 256 KB, small enough to check in cache
+_PAYLOAD_CHUNK = 1 << 15
 
 
 def save_signal(f: GridSignal2D, path):
@@ -92,13 +94,29 @@ def _check_axis(path, offset, amin, astep):
 
 
 def _read_payload(path, size, start, count):
+    """``count`` f64 values from byte ``start``, checked finite as they are read.
+
+    The payload is read straight into the result, ``_PAYLOAD_CHUNK`` values
+    at a time, and each slice is checked while it is still in cache, so the
+    check costs no second pass over the array and no full-size mask.
+    """
     if size < start + 8 * count:
         raise FormatError(f"{path}: truncated payload", offset=size)
-    data = np.fromfile(path, dtype="<f8", count=count, offset=start).astype(float, copy=False)
-    if not np.isfinite(data).all():
-        bad = int(np.argmin(np.isfinite(data)))
-        raise FormatError(f"{path}: non-finite value", offset=start + 8 * bad)
-    return data
+    data = np.empty(count, dtype="<f8")
+    finite = np.empty(min(count, _PAYLOAD_CHUNK), dtype=bool)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for lo in range(0, count, _PAYLOAD_CHUNK):
+            part = data[lo:lo + _PAYLOAD_CHUNK]
+            got = fh.readinto(part)
+            if got < part.nbytes:
+                # the file shrank after its size was read
+                raise FormatError(f"{path}: truncated payload", offset=start + 8 * lo + got)
+            ok = np.isfinite(part, out=finite[:len(part)])
+            if not ok.all():
+                bad = lo + int(np.argmin(ok))
+                raise FormatError(f"{path}: non-finite value", offset=start + 8 * bad)
+    return data.astype(float, copy=False)
 
 
 def _load_qs2d(path):
@@ -134,17 +152,18 @@ def _save_csv(f, path):
 def _load_csv(path):
     raw = path.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8", offset=exc.start) from None
-    lines = text.split("\n")
-    if not lines or lines[0] != _CSV_HEADER:
+    # split the bytes, not the text, so that every offset counts bytes
+    lines = raw.split(b"\n")
+    if lines[0] != _CSV_HEADER.encode():
         raise FormatError(f"{path}: bad header line", offset=0)
-    rows = []
+    rows, starts = [], []
     offset = len(lines[0]) + 1
     for line in lines[1:]:
         if line:
-            fields = line.split(",")
+            fields = line.decode("utf-8").split(",")
             if len(fields) != 6:
                 raise FormatError(f"{path}: expected 6 fields, got {len(fields)}",
                                   offset=offset)
@@ -155,33 +174,59 @@ def _load_csv(path):
             if not all(map(math.isfinite, values)):
                 raise FormatError(f"{path}: non-finite value", offset=offset)
             rows.append(values)
+            starts.append(offset)
         offset += len(line) + 1
     if not rows:
         raise FormatError(f"{path}: no data rows", offset=len(_CSV_HEADER) + 1)
+    # a grid error reports the first data line off the grid, or the end of
+    # the file when only lines are missing there
+    starts.append(len(raw))
     table = np.array(rows)
     x1, x2 = table[:, 0], table[:, 1]
     n2 = int(np.argmax(x1 != x1[0])) if (x1 != x1[0]).any() else len(x1)
     if n2 < 2 or len(rows) % n2:
-        raise FormatError(f"{path}: rows do not form a rectangular grid")
+        raise FormatError(f"{path}: rows do not form a rectangular grid",
+                          offset=starts[_first_off_block(x1, x2, n2)])
     n1 = len(rows) // n2
-    ax1 = _axis_from_coords(x1[::n2], path)
-    ax2 = _axis_from_coords(x2[:n2], path)
+    ax1 = _axis_from_coords(x1[::n2], starts[:-1:n2] + starts[-1:], path)
+    ax2 = _axis_from_coords(x2[:n2], starts, path)
     grid_x1 = np.repeat(ax1.coords, n2)
     grid_x2 = np.tile(ax2.coords, n1)
     scale = max(ax1.step, ax2.step)
-    if (np.abs(x1 - grid_x1).max() > 1e-9 * scale
-            or np.abs(x2 - grid_x2).max() > 1e-9 * scale):
-        raise FormatError(f"{path}: sample coordinates are not a uniform grid")
+    off = (np.abs(x1 - grid_x1) > 1e-9 * scale) | (np.abs(x2 - grid_x2) > 1e-9 * scale)
+    if off.any():
+        raise FormatError(f"{path}: sample coordinates are not a uniform grid",
+                          offset=starts[int(np.argmax(off))])
     return GridSignal2D(ax1, ax2, table[:, 2:].reshape(n1, n2, 4))
 
 
-def _axis_from_coords(coords, path):
+def _first_off_block(x1, x2, n2):
+    """Index of the first row that breaks the layout of blocks of n2 rows.
+
+    In a block x1 is constant and x2 repeats the first block's values; the
+    row count when every row keeps to that (the missing rows are at the end).
+    """
+    if n2 < 2:
+        return n2
+    r = np.arange(len(x1))
+    tol = 1e-9 * abs(x2[1] - x2[0])
+    off = (np.abs(x1 - x1[r - r % n2]) > tol) | (np.abs(x2 - x2[r % n2]) > tol)
+    return int(np.argmax(off)) if off.any() else len(x1)
+
+
+def _axis_from_coords(coords, starts, path):
+    """A uniform axis through ``coords``; ``starts[k]`` is the offset of the
+    line holding ``coords[k]``, and ``starts[len(coords)]`` the offset just
+    past those lines."""
     if len(coords) < 2:
-        raise FormatError(f"{path}: axis needs at least 2 samples")
+        raise FormatError(f"{path}: axis needs at least 2 samples", offset=starts[len(coords)])
     steps = np.diff(coords)
     step = float(np.mean(steps))
-    if step <= 0 or np.abs(steps - step).max() > 1e-9 * abs(step):
-        raise FormatError(f"{path}: axis coordinates are not uniformly spaced")
+    bad = steps <= 0 if step <= 0 else np.abs(steps - step) > 1e-9 * abs(step)
+    if bad.any():
+        # the line that ends the first irregular step
+        raise FormatError(f"{path}: axis coordinates are not uniformly spaced",
+                          offset=starts[int(np.argmax(bad)) + 1])
     return Axis(len(coords), float(coords[0]), step)
 
 

@@ -22,8 +22,13 @@ modified signal with ``grid.translate_window``.
 The row engine works in Cayley channel form throughout.  Signal and
 window are split once into their p/m channels; the product f * conj(phi)
 is then, per cell, a 2x2 complex matrix of window planes applied to the
-signal channels.  The window planes are zero-padded once, so the planes of
-every translation are slices of one ``sliding_window_view``.  The QOLCT
+signal channels.  Only the planes that are not identically zero take part
+(``_window_terms``): a window without i and k parts, such as every real
+window, has a diagonal matrix and costs two plane products per row, a
+general quaternion window four.  The term list comes from the window
+data, so both shapes run the same code.  The window planes are zero-padded
+once, so the planes of every translation are slices of one
+``sliding_window_view``.  The QOLCT
 then runs on the channels through the split-channel engine of ``qft``:
 the QOLCT plan's cached profiles, built into phase planes once per pass
 (``_phase_planes``), ``_dft2`` and the channel join.  The engine computes
@@ -46,10 +51,13 @@ into the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64,
 stride 1).  The reducers (``_FieldSums`` for energy, sup modulus and the
 w-marginal, ``_Reconstruction`` for the channel-native inverse)
 accumulate over translations without a dense field, fed by the engine
-(``_stream``) or by the rows of a dense field (``_replay``).
-``moyal_check`` builds its two fields with ``stqolct_forward`` and takes
-their Gram sums as one matrix product.  Identity checks (energy, Moyal, reconstruction)
-integrate over all translations and therefore require stride 1.
+(``_stream``); ``stqolct_reconstruct`` feeds ``_Reconstruction`` the rows
+of a dense field (``_replay``).  A dense field's energy and w-marginal
+need no pass: each (w1, w2) node's coefficients are one contiguous run,
+reduced in place (``_dense_marginal``).  ``moyal_check`` builds its two
+fields with ``stqolct_forward`` and takes their Gram sums as one matrix
+product.  Identity checks (energy, Moyal, reconstruction) integrate over
+all translations and therefore require stride 1.
 """
 
 from __future__ import annotations
@@ -208,16 +216,26 @@ def _check_route(route):
         raise ParameterError(f"route must be one of {_ROUTES}, got {route!r}")
 
 
-def _window_matrix(plan):
-    """Per-cell 2x2 channel matrix of g = f * conj(phi), as four planes.
+def _window_terms(plan):
+    """The nonzero planes of the per-cell 2x2 channel matrix of g = f * conj(phi).
 
     In channel form (p, m) of g is [[W_pp, W_pm], [W_mp, W_mm]] applied to
-    the channels (f_p, f_m) of f.  Its conjugate transpose applies
-    g * phi, which is what reconstruction needs.
+    the channels (f_p, f_m) of f; its conjugate transpose applies g * phi,
+    which is what reconstruction needs.  Each nonzero plane is one term
+    ``(out, in, plane)``: channel ``out`` (0 = p, 1 = m) of g gets
+    ``plane * f_in``.  With phi = za + zb j, za = q0 + i q1 and
+    zb = q2 + i q3, the off-diagonal planes are W_pm = Im zb - i Im za and
+    W_mp = -conj(W_pm), so a window without i and k parts (every real
+    window, and every window in span{1, j}) has only the two diagonal
+    terms.  W_mm = conj(W_pp), and a nonzero window has a nonzero W_pp or
+    W_pm, so each out channel gets at least one term.
     """
     phi_p, phi_m = _split_channels(plan.window.data)
-    return np.stack([phi_m + phi_p.conj(), phi_m.conj() - phi_p,
-                     phi_p.conj() - phi_m, phi_m.conj() + phi_p]) / 2.0
+    planes = np.stack([phi_m + phi_p.conj(), phi_m.conj() - phi_p,
+                       phi_p.conj() - phi_m, phi_m.conj() + phi_p]) / 2.0
+    return [(out, inp, plane) for (out, inp), plane in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
+                                                            planes)
+            if plane.any()]
 
 
 class _Translations:
@@ -263,32 +281,35 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
     """The row engine of f: ``row(i1, buffers)`` computes translation row i1.
 
     The phase planes, the channel products and the window translations
-    are built here, once per pass, and ``row`` only reads them.
+    are built here, once per pass, and ``row`` only reads them.  Only the
+    window's nonzero terms (``_window_terms``) are translated and applied:
+    one multiply per term into its channel, so a real window costs two
+    multiplies per row where a general quaternion window costs four and
+    two adds.
     """
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     planes = _phase_planes(plan.qolct._forward_profiles)
-    (in_p, out_p, signs_p), (in_m, out_m, signs_m) = planes
-    f_p, f_m = _split_channels(f.data[:, :, None])
-    src_p = (in_p[:, :, None] * f_p, in_p[:, :, None] * f_m)
-    src_m = (in_m[:, :, None] * f_p, in_m[:, :, None] * f_m)
-    out_p = out_p[:, :, None]
-    out_m = out_m[:, :, None]
-    windows = _Translations(plan, _window_matrix(plan))
+    terms = _window_terms(plan)
+    f_chans = _split_channels(f.data[:, :, None])
+    # per out channel, the (translation index, source product) of its
+    # terms; the source of a term is in_out * f_in
+    groups = ([], [])
+    for k, (out, inp, _) in enumerate(terms):
+        groups[out].append((k, planes[out][0][:, :, None] * f_chans[inp]))
+    windows = _Translations(plan, np.stack([plane for _, _, plane in terms]))
 
     # Channels are laid out (w1, w2, u2) like the block, with the
     # translations of a row as the fastest axis.
     def row(i1, buffers):
-        p, m, tmp = buffers.p, buffers.m, buffers.tmp
-        w_pp, w_pm, w_mp, w_mm = windows.row(i1)
-        np.multiply(w_pp, src_p[0], out=p)
-        p += np.multiply(w_pm, src_p[1], out=tmp)
-        np.multiply(w_mp, src_m[0], out=m)
-        m += np.multiply(w_mm, src_m[1], out=tmp)
-        _dft2(p, signs_p)
-        _dft2(m, signs_m)
-        p *= out_p
-        m *= out_m
-        _join_channels(p, m, out=buffers.block)
+        w = windows.row(i1)
+        for chan, group, (_, tail, signs) in zip((buffers.p, buffers.m), groups, planes):
+            (k, src), *rest = group
+            np.multiply(w[k], src, out=chan)
+            for k, src in rest:
+                chan += np.multiply(w[k], src, out=buffers.tmp)
+            _dft2(chan, signs)
+            chan *= tail[:, :, None]
+        _join_channels(buffers.p, buffers.m, out=buffers.block)
 
     return row
 
@@ -418,13 +439,15 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
 
 
 class _FieldSums:
-    """|S|^2 reductions of a field, a ``_pass`` reducer.
+    """|S|^2 reductions of a streamed field, a ``_pass`` reducer.
 
     ``energy`` is the quadrature sum of |S|^2, ``sup`` the largest |S|,
     ``w_marginal`` the u-integrated |S|^2 on the (w1, w2) grid (cells of
     area ``w_cell``), and ``u_energy`` the w-summed |S|^2 per translation
     (no cell weights).  Only the marginal is summed over rows, so only it
-    has a partial; the per-row sums and peaks go to disjoint rows.
+    has a partial; the per-row sums and peaks go to disjoint rows.  A
+    dense field needs no pass for its energy and marginal
+    (``_dense_marginal``).
     """
 
     def __init__(self, w1, w2, u1, u2):
@@ -438,12 +461,6 @@ class _FieldSums:
     @classmethod
     def for_plan(cls, plan: StqolctPlan):
         return cls(plan.qolct.w1, plan.qolct.w2, plan.u1, plan.u2)
-
-    @classmethod
-    def of_field(cls, field: StqolctField):
-        sums = cls(field.w1, field.w2, field.u1, field.u2)
-        _replay(field, sums)
-        return sums
 
     def partial(self):
         return np.zeros_like(self._marginal)
@@ -470,13 +487,24 @@ class _FieldSums:
         return self._marginal * self._du
 
 
+def _dense_marginal(field: StqolctField):
+    """Sum over translations of |S|^2 at each (w1, w2) node, no cell weights.
+
+    The dense field is laid out (w1, w2, u1, u2, 4), so the coefficients
+    of one node are one contiguous run and this is a single reduction
+    over it: no row pass runs, and nothing depends on ``QTF_THREADS``.
+    """
+    flat = field.data.reshape(field.w1.n, field.w2.n, -1)
+    return np.einsum("abk,abk->ab", flat, flat)
+
+
 def stqolct_energy(field: StqolctField) -> float:
     """Quadrature sum of |S(w, u)|^2 over all four axes.
 
     With stride 1 this matches the signal/window energy product
     ||phi||^2 ||f||^2 up to boundary truncation of the window sum.
     """
-    return _FieldSums.of_field(field).energy
+    return float(np.sum(_dense_marginal(field))) * field.cell_volume
 
 
 def coefficient_slice(field: StqolctField, i1, i2) -> GridSignal2D:
@@ -534,30 +562,34 @@ class _Reconstruction:
     Each coefficient slice goes back through the inverse channel planes;
     the result is weighted by the translated window (the conjugate
     transpose of the forward window matrix) and summed over translations.
-    The planes and window translations are built once and only read by
-    ``add``; a partial is the (4, n1, n2) sum of its rows.  The caller
-    checks that the translation grid has stride 1.
+    Only the window's nonzero terms (``_window_terms``) are summed; the
+    sums of the others are exactly zero and stay so.  The planes and
+    window translations are built once and only read by ``add``; a
+    partial is the (4, n1, n2) sum of its rows.  The caller checks that
+    the translation grid has stride 1.
     """
 
     def __init__(self, plan: StqolctPlan):
         self._plan = plan
         self._planes = _phase_planes(plan.qolct._inverse_profiles)
-        w_pp, w_pm, w_mp, w_mm = _window_matrix(plan).conj()
-        self._windows = _Translations(plan, np.stack([w_pp, w_mp, w_pm, w_mm]))
-        # sums over u of p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)
+        terms = _window_terms(plan)
+        self._windows = _Translations(plan, np.stack([plane.conj() for _, _, plane in terms]))
+        # term (out, in) sums chan_out * conj(W) over u into slot 2*in + out of
+        # the sums p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)
+        self._slots = [(2 * inp + out, out) for out, inp, _ in terms]
         self._acc = np.zeros((4, plan.ax1.n, plan.ax2.n), dtype=complex)
 
     def partial(self):
         return np.zeros_like(self._acc)
 
     def add(self, i1, buffers, partial):
-        p, m = _split_channels(buffers.block, out=(buffers.p, buffers.m))
-        for chan, (head, _, signs) in zip((p, m), self._planes):
+        chans = _split_channels(buffers.block, out=(buffers.p, buffers.m))
+        for chan, (head, _, signs) in zip(chans, self._planes):
             chan *= head[:, :, None]
             _dft2(chan, signs)
         w = self._windows.row(i1)
-        for k, chan in enumerate((p, m, p, m)):
-            partial[k] += np.einsum("klu,klu->kl", chan, w[k])
+        for k, (slot, out) in enumerate(self._slots):
+            partial[slot] += np.einsum("klu,klu->kl", chans[out], w[k])
 
     def merge(self, partial):
         self._acc += partial

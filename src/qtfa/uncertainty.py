@@ -30,7 +30,8 @@ from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
 from .specialfn import digamma, gamma
-from .stqolct import StqolctField, StqolctPlan, _FieldSums, modified_signal, stqolct_forward
+from .stqolct import (StqolctField, StqolctPlan, _dense_marginal, _FieldSums, modified_signal,
+                      stqolct_forward)
 
 __all__ = [
     "CellSet",
@@ -119,7 +120,8 @@ def _marginal_map(sums: _FieldSums) -> EnergyMap:
 
 def field_w_energy_map(field: StqolctField) -> EnergyMap:
     """u-integrated energy marginal over the frequency grid."""
-    return _marginal_map(_FieldSums.of_field(field))
+    return EnergyMap("frequency", _dense_marginal(field) * (field.u1.step * field.u2.step),
+                     field.w1.step * field.w2.step)
 
 
 def _w_marginal(f, plan, marginal) -> EnergyMap:

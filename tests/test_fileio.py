@@ -8,6 +8,7 @@ from qtfa import (Axis, OlctParams, StqolctPlan, gaussian_signal,
                   load_field, load_signal, save_field, save_signal,
                   stqolct_forward)
 from qtfa.errors import FormatError, ParameterError
+from qtfa.fileio import _PAYLOAD_CHUNK
 
 
 @pytest.fixture
@@ -57,6 +58,22 @@ class TestQs2d:
         raw = bytearray(path.read_bytes())
         bad_index = 37
         struct.pack_into("<d", raw, 48 + 8 * bad_index, float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            load_signal(path)
+        assert err.value.offset == 48 + 8 * bad_index
+
+    @pytest.mark.parametrize("where", ["second chunk", "last value"])
+    def test_non_finite_past_the_first_chunk_reports_offset(self, tmp_path, where):
+        # the last value sits in a third, partial chunk
+        ax = Axis.centered(130, 8.0)
+        count = 130 * 130 * 4
+        assert count > 2 * _PAYLOAD_CHUNK
+        bad_index = _PAYLOAD_CHUNK + 5 if where == "second chunk" else count - 1
+        path = tmp_path / "f.qs2d"
+        save_signal(random_signal(ax, ax, seed=43), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 48 + 8 * bad_index, float("-inf"))
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError) as err:
             load_signal(path)
@@ -122,6 +139,54 @@ class TestCsv:
         with pytest.raises(FormatError) as err:
             load_signal(path)
         assert err.value.offset == sum(len(line) + 1 for line in lines[:3])
+
+
+    def test_offsets_count_bytes_not_characters(self, signal, tmp_path):
+        # float() parses the two-byte digit U+0660, so the file gets as far
+        # as the nan in row 3, which must be reported at that row's byte
+        path = tmp_path / "f.csv"
+        save_signal(signal, path)
+        lines = path.read_text().split("\n")
+        fields = lines[1].split(",")
+        fields[2] = "\u0660"
+        lines[1] = ",".join(fields)
+        fields = lines[3].split(",")
+        fields[3] = "nan"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_signal(path)
+        assert err.value.offset == len("\n".join(lines[:3]).encode("utf-8")) + 1
+
+    @pytest.mark.parametrize("edit, bad_row", [
+        ("delete row 5", 5),             # row 5 now holds row 6's coordinates
+        ("delete the last row", None),   # every row fits; the file ends early
+        ("perturb x2 of row 6", 6),      # off the grid of the fitted axes
+        ("perturb x2 of row 2", 2),      # breaks the spacing of the x2 axis
+        ("perturb x1 of row 8", 8),      # breaks the spacing of the x1 axis
+    ])
+    def test_grid_errors_report_the_first_bad_line(self, tmp_path, edit, bad_row):
+        ax = Axis.centered(4, 4.0)
+        path = tmp_path / "f.csv"
+        save_signal(random_signal(ax, ax, seed=44), path)
+        lines = path.read_text().split("\n")  # header, 16 rows, ""
+        verb, _, target = edit.partition(" ")
+        if verb == "delete":
+            del lines[16 if target == "the last row" else 1 + int(target.split()[-1])]
+        else:
+            column, row = target.split()[0], int(target.split()[-1])
+            fields = lines[1 + row].split(",")
+            k = 0 if column == "x1" else 1
+            fields[k] = repr(float(fields[k]) + 0.1)
+            lines[1 + row] = ",".join(fields)
+        text = "\n".join(lines)
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            load_signal(path)
+        if bad_row is None:
+            assert err.value.offset == len(text)
+        else:
+            assert err.value.offset == len("\n".join(lines[:1 + bad_row])) + 1
 
 
 class TestQtf4:

@@ -14,7 +14,8 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
                   translate_window)
 from qtfa.errors import ParameterError, ShapeError
-from qtfa.stqolct import _CHUNKS, _FieldSums, _max_workers, _Reconstruction, _stream
+from qtfa.stqolct import (_CHUNKS, _FieldSums, _max_workers, _Reconstruction, _stream,
+                          _window_terms)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
@@ -24,10 +25,25 @@ UNIT_B = OlctParams(1, 1, 0, 1, 0.2, -0.4)
 
 ROUTES = ("direct", "via_qolct", "via_qft")
 
+#: window shapes by the components (q0, q1, q2, q3) they keep, and the
+#: number of nonzero window-matrix terms each must take in the row engine;
+#: "real-one-i" is a real window with one nonzero i sample
+WINDOW_MASKS = {"full": (1, 1, 1, 1), "span-1-j": (1, 0, 1, 0), "real": (1, 0, 0, 0),
+                "real-one-i": (1, 0, 0, 0)}
+WINDOW_TERMS = {"full": 4, "span-1-j": 2, "real": 2, "real-one-i": 4}
+
 
 def make_plan(ax1, ax2, params1=MIXED, params2=NEG_B, window_alpha=2.0, stride=1):
     window = gaussian_signal(ax1, ax2, window_alpha)
     return StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
+
+
+def shaped_window(ax1, ax2, shape, seed):
+    """A random window with only the components of ``WINDOW_MASKS[shape]``."""
+    data = random_signal(ax1, ax2, seed=seed).data * WINDOW_MASKS[shape]
+    if shape == "real-one-i":
+        data[ax1.n // 3, ax2.n // 2, 1] = 0.7
+    return GridSignal2D(ax1, ax2, data)
 
 
 class TestPlan:
@@ -295,6 +311,17 @@ class TestReconstruction:
         with pytest.raises(ParameterError):
             stqolct_reconstruct(field)
 
+    @pytest.mark.parametrize("shape", ["real", "span-1-j", "real-one-i"])
+    def test_direct_mode_matches_fast_for_each_window_shape(self, shape):
+        ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
+        window = shaped_window(ax1, ax2, shape, seed=315)
+        plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
+        assert len(_window_terms(plan)) == WINDOW_TERMS[shape]
+        field = stqolct_forward(random_signal(ax1, ax2, seed=316), plan)
+        rec_fast = stqolct_reconstruct(field, mode="fast")
+        rec_direct = stqolct_reconstruct(field, mode="direct")
+        assert np.max(np.abs(rec_fast.data - rec_direct.data)) < 1e-9
+
     def test_direct_mode_matches_fast(self, small_axes):
         plan = make_plan(*small_axes)
         f = random_signal(*small_axes, seed=313)
@@ -349,9 +376,9 @@ def rectangular_grids(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(params1=sextets(), params2=sextets(), grid=rectangular_grids(),
-       seed=st.integers(0, 2**32 - 2))
-def test_row_engine_matches_direct(params1, params2, grid, seed):
-    _check_row_engine_against_direct(params1, params2, grid, seed)
+       seed=st.integers(0, 2**32 - 2), shape=st.sampled_from(sorted(WINDOW_MASKS)))
+def test_row_engine_matches_direct(params1, params2, grid, seed, shape):
+    _check_row_engine_against_direct(params1, params2, grid, seed, shape)
 
 
 def test_row_engine_matches_direct_on_two_threads(monkeypatch):
@@ -360,10 +387,17 @@ def test_row_engine_matches_direct_on_two_threads(monkeypatch):
     _check_row_engine_against_direct(MIXED, NEG_B, grid, seed=404)
 
 
-def _check_row_engine_against_direct(params1, params2, grid, seed):
+@pytest.mark.parametrize("shape", sorted(WINDOW_MASKS))
+def test_row_engine_matches_direct_for_each_window_shape(shape):
+    grid = (Axis.centered(12, 6.0), Axis.centered(8, 3.0), 2)
+    _check_row_engine_against_direct(MIXED, NEG_B, grid, seed=405, shape=shape)
+
+
+def _check_row_engine_against_direct(params1, params2, grid, seed, shape="full"):
     ax1, ax2, stride = grid
-    window = random_signal(ax1, ax2, seed=seed)
+    window = shaped_window(ax1, ax2, shape, seed=seed)
     plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
+    assert len(_window_terms(plan)) == WINDOW_TERMS[shape]
     f = random_signal(ax1, ax2, seed=seed + 1)
     fast = stqolct_forward(f, plan, "via_qolct").data
     direct = stqolct_forward(f, plan, "direct").data
@@ -474,11 +508,12 @@ class TestRowPool:
         assert len(row_pools) == 1
         stqolct_reconstruct(field)
         assert len(row_pools) == 2
-        # one pool per pass: two forwards, then a forward and its replay
+        # one pool per pass: two forwards, then one forward whose marginal
+        # is reduced without a pass
         moyal_check(f, f, plan.window, plan.window, plan.qolct)
         assert len(row_pools) == 4
         donoho_stark_check(f, plan, 0.1, 0.1)
-        assert len(row_pools) == 6
+        assert len(row_pools) == 5
 
     @pytest.mark.parametrize("launch", ["thread", "caller-pool"])
     def test_passes_off_the_main_thread_run_inline(self, monkeypatch, row_pools, launch):
@@ -487,7 +522,9 @@ class TestRowPool:
         plan = make_plan(ax1, ax2)
         f = random_signal(ax1, ax2, seed=414)
         main = _pass_outputs(f, plan)
-        assert len(row_pools) == 5  # one per pass
+        # one per pass: forward, reconstruction, stream; the dense energy
+        # and marginal run no pass
+        assert len(row_pools) == 3
         del row_pools[:]
         if launch == "thread":
             outs = []
