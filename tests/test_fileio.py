@@ -140,7 +140,6 @@ class TestCsv:
             load_signal(path)
         assert err.value.offset == sum(len(line) + 1 for line in lines[:3])
 
-
     def test_offsets_count_bytes_not_characters(self, signal, tmp_path):
         # float() parses the two-byte digit U+0660, so the file gets as far
         # as the nan in row 3, which must be reported at that row's byte
@@ -158,35 +157,32 @@ class TestCsv:
             load_signal(path)
         assert err.value.offset == len("\n".join(lines[:3]).encode("utf-8")) + 1
 
-    @pytest.mark.parametrize("edit, bad_row", [
-        ("delete row 5", 5),             # row 5 now holds row 6's coordinates
-        ("delete the last row", None),   # every row fits; the file ends early
-        ("perturb x2 of row 6", 6),      # off the grid of the fitted axes
-        ("perturb x2 of row 2", 2),      # breaks the spacing of the x2 axis
-        ("perturb x1 of row 8", 8),      # breaks the spacing of the x1 axis
+    @pytest.mark.parametrize("row, column, bad_row", [
+        (5, None, 5),      # row 5 deleted: row 5 now holds row 6's coordinates
+        (15, None, None),  # last row deleted: every row fits, the file ends early
+        (6, 1, 6),         # x2 of row 6 off the grid of the fitted axes
+        (2, 1, 2),         # x2 of row 2 breaks the spacing of the x2 axis
+        (8, 0, 8),         # x1 of row 8 breaks the spacing of the x1 axis
     ])
-    def test_grid_errors_report_the_first_bad_line(self, tmp_path, edit, bad_row):
+    def test_grid_errors_report_the_first_bad_line(self, tmp_path, row, column, bad_row):
+        # data row ``row`` of a 4x4 grid is deleted (column None) or one of
+        # its coordinates is moved by 0.1
         ax = Axis.centered(4, 4.0)
         path = tmp_path / "f.csv"
         save_signal(random_signal(ax, ax, seed=44), path)
         lines = path.read_text().split("\n")  # header, 16 rows, ""
-        verb, _, target = edit.partition(" ")
-        if verb == "delete":
-            del lines[16 if target == "the last row" else 1 + int(target.split()[-1])]
+        if column is None:
+            del lines[1 + row]
         else:
-            column, row = target.split()[0], int(target.split()[-1])
             fields = lines[1 + row].split(",")
-            k = 0 if column == "x1" else 1
-            fields[k] = repr(float(fields[k]) + 0.1)
+            fields[column] = repr(float(fields[column]) + 0.1)
             lines[1 + row] = ",".join(fields)
         text = "\n".join(lines)
         path.write_text(text)
         with pytest.raises(FormatError) as err:
             load_signal(path)
-        if bad_row is None:
-            assert err.value.offset == len(text)
-        else:
-            assert err.value.offset == len("\n".join(lines[:1 + bad_row])) + 1
+        expect = len(text) if bad_row is None else len("\n".join(lines[:1 + bad_row])) + 1
+        assert err.value.offset == expect
 
 
 class TestQtf4:

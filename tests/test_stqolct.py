@@ -387,12 +387,6 @@ def test_row_engine_matches_direct_on_two_threads(monkeypatch):
     _check_row_engine_against_direct(MIXED, NEG_B, grid, seed=404)
 
 
-@pytest.mark.parametrize("shape", sorted(WINDOW_MASKS))
-def test_row_engine_matches_direct_for_each_window_shape(shape):
-    grid = (Axis.centered(12, 6.0), Axis.centered(8, 3.0), 2)
-    _check_row_engine_against_direct(MIXED, NEG_B, grid, seed=405, shape=shape)
-
-
 def _check_row_engine_against_direct(params1, params2, grid, seed, shape="full"):
     ax1, ax2, stride = grid
     window = shaped_window(ax1, ax2, shape, seed=seed)
