@@ -54,9 +54,10 @@ def _build_parser():
     tr.add_argument("-o", "--output", required=True)
     tr.add_argument("--A1", default=None, help="axis-1 parameters 'a,b,c,d,p,q'")
     tr.add_argument("--A2", default=None, help="axis-2 parameters 'a,b,c,d,p,q'")
-    tr.add_argument("--mode", default="fast", choices=["direct", "fast"])
-    tr.add_argument("--route", default="via_qolct",
-                    choices=["direct", "via_qolct", "via_qft"])
+    tr.add_argument("--mode", default=None, choices=["direct", "fast"],
+                    help="qft and qolct (default fast)")
+    tr.add_argument("--route", default=None, choices=["direct", "via_qolct", "via_qft"],
+                    help="stqolct (default via_qolct)")
     tr.add_argument("--window", default=None, help="window signal file (stqolct)")
     tr.add_argument("--u-stride", type=int, default=1, dest="u_stride")
     tr.set_defaults(func=_cmd_transform)
@@ -119,9 +120,14 @@ def _cmd_gen(args):
 
 
 def _cmd_transform(args):
+    # a flag the chosen transform does not read is an error, not a no-op
+    unread = "mode" if args.transform == "stqolct" else "route"
+    if getattr(args, unread) is not None:
+        raise ParameterError(f"transform {args.transform} does not read --{unread}")
+    mode = args.mode or "fast"
     f = load_signal(args.input)
     if args.transform == "qft":
-        out = qft_forward(f, QftPlan.for_axes(f.ax1, f.ax2), mode=args.mode)
+        out = qft_forward(f, QftPlan.for_axes(f.ax1, f.ax2), mode=mode)
         save_signal(out, args.output)
         return 0
     if args.A1 is None or args.A2 is None:
@@ -130,7 +136,7 @@ def _cmd_transform(args):
     params2 = OlctParams.from_text(args.A2)
     if args.transform == "qolct":
         plan = QolctPlan.for_axes(params1, params2, f.ax1, f.ax2)
-        out = qolct_forward(f, plan, mode=args.mode)
+        out = qolct_forward(f, plan, mode=mode)
         save_signal(out, args.output)
         return 0
     if not args.window:
@@ -138,7 +144,7 @@ def _cmd_transform(args):
     window = load_signal(args.window)
     plan = StqolctPlan.create(params1, params2, f.ax1, f.ax2, window,
                               stride=args.u_stride)
-    field = stqolct_forward(f, plan, route=args.route)
+    field = stqolct_forward(f, plan, route=args.route or "via_qolct")
     save_field(field, args.output)
     return 0
 

@@ -35,15 +35,14 @@ the QOLCT plan's cached profiles, built into phase planes once per pass
 the field one u1 row at a time as a (nw1, nw2, nu2, 4) block.
 
 Everything downstream consumes rows through one reducer protocol
-(``_pass``): ``partial()`` makes an empty partial sum for a chunk of
-rows, ``add(i1, buffers, partial)`` folds row i1 (in ``buffers.block``)
-into it, and ``merge(partial)`` folds a finished partial into the total.
-A pass cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a count that
-does not depend on the number of workers.  Each chunk feeds its rows in
-order to partials of its own, and the partials are merged in chunk
-order, so every sum is the same to the last bit whether the chunks run
-on a pool or inline.  ``_pass`` alone decides which, from the calling
-thread: on the main thread the chunks run on a pool of
+(``_pass``): a reducer is a callable ``reducer(k, i1, buffers)`` that adds
+row i1 (in ``buffers.block``) of chunk k into a partial sum of its own for
+that chunk.  A pass cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a
+count that does not depend on the number of workers, and feeds each
+chunk's rows in order.  A reducer adds its per-chunk sums in chunk order
+when its result is read, so every sum is the same to the last bit whether
+the chunks run on a pool or inline.  ``_pass`` alone decides which, from
+the calling thread: on the main thread the chunks run on a pool of
 ``_max_workers()`` threads (``QTF_THREADS``); any other thread is
 already a worker of some pool (verify's, or a caller's), so there they
 run inline and pools never nest.  ``stqolct_forward`` copies the rows
@@ -95,7 +94,7 @@ __all__ = [
 _ROUTES = ("direct", "via_qolct", "via_qft")
 
 #: the u1 rows of a pass are cut into this many contiguous chunks whatever
-#: the worker count, so sums merged in chunk order do not depend on it
+#: the worker count, so sums added in chunk order do not depend on it
 _CHUNKS = 8
 
 
@@ -318,16 +317,16 @@ def _pass(shape, row, *reducers):
     """Feed every u1 row of a (nw1, nw2, nu1, nu2) field to the reducers.
 
     ``row(i1, buffers)`` writes row i1 into ``buffers.block``; each
-    reducer then gets ``add(i1, buffers, partial)``.  Each chunk of
-    ``_chunks`` folds its rows, in order, into partials of its own, and
-    the partials are merged in chunk order.  On the main thread the
-    chunks run on a pool of ``_max_workers()`` threads; on any other
-    thread, such as a task of verify's pool or of a caller's, they run
-    inline, so pools never nest.  Either way the result is the same to
-    the last bit.  The calling thread allocates the partials and one
-    ``_Buffers`` per worker; a worker takes a set from a queue for each
-    chunk and puts it back.  (A buffer that a worker thread allocates and
-    frees stays behind in that thread's malloc arena.)
+    reducer is then called as ``reducer(k, i1, buffers)``, where k is the
+    index of i1's chunk in ``_chunks``.  Each chunk feeds its rows in
+    order.  On the main thread the chunks run on a pool of
+    ``_max_workers()`` threads; on any other thread, such as a task of
+    verify's pool or of a caller's, they run inline, so pools never nest.
+    A chunk runs on one worker at a time, so a reducer's sum for chunk k
+    has one writer.  The calling thread allocates one ``_Buffers`` per
+    worker; a worker takes a set from a queue for each chunk and puts it
+    back.  (A buffer that a worker thread allocates and frees stays
+    behind in that thread's malloc arena.)
     """
     chunks = _chunks(shape[2])
     workers = 1
@@ -337,23 +336,19 @@ def _pass(shape, row, *reducers):
         free = queue.SimpleQueue()
         for _ in range(workers):
             free.put(_Buffers(shape[:2] + shape[3:]))
-        jobs = [(rows, [r.partial() for r in reducers]) for rows in chunks]
 
-        def run(job):
-            rows, partials = job
+        def run(k):
             buffers = free.get()
             try:
-                for i1 in rows:
+                for i1 in chunks[k]:
                     row(i1, buffers)
-                    for reducer, partial in zip(reducers, partials):
-                        reducer.add(i1, buffers, partial)
+                    for reducer in reducers:
+                        reducer(k, i1, buffers)
             finally:
                 free.put(buffers)
-            return partials
 
-        for partials in (map if executor is None else executor.map)(run, jobs):
-            for reducer, partial in zip(reducers, partials):
-                reducer.merge(partial)
+        # consuming the results re-raises a worker's exception here
+        list((map if executor is None else executor.map)(run, range(len(chunks))))
 
 
 def _field_shape(plan: StqolctPlan):
@@ -370,22 +365,6 @@ def _replay(field: StqolctField, *reducers):
     # One strided copy per row beats strided reads in every reducer.
     _pass(field.data.shape[:4],
           lambda i1, buffers: np.copyto(buffers.block, field.data[:, :, i1]), *reducers)
-
-
-class _DenseField:
-    """The reducer that keeps every row, in a (nw1, nw2, nu1, nu2, 4) array."""
-
-    def __init__(self, data):
-        self.data = data
-
-    def partial(self):
-        return None
-
-    def add(self, i1, buffers, partial):
-        self.data[:, :, i1] = buffers.block
-
-    def merge(self, partial):
-        pass
 
 
 def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
@@ -423,7 +402,10 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
     qplan = plan.qolct
     out = np.empty(_field_shape(plan) + (4,))
     if route == "via_qolct":
-        _stream(f, plan, _DenseField(out))
+        def keep(k, i1, buffers):
+            out[:, :, i1] = buffers.block
+
+        _stream(f, plan, keep)
     else:
         # the oracles: one modified signal and one transform per translation
         qft_plan = QftPlan.for_axes(plan.ax1, plan.ax2)
@@ -445,34 +427,25 @@ class _FieldSums:
     ``w_marginal`` the u-integrated |S|^2 on the (w1, w2) grid (cells of
     area ``w_cell``), and ``u_energy`` the w-summed |S|^2 per translation
     (no cell weights).  Only the marginal is summed over rows, so only it
-    has a partial; the per-row sums and peaks go to disjoint rows.  A
-    dense field needs no pass for its energy and marginal
+    keeps one sum per chunk; the per-row sums and peaks go to disjoint
+    rows.  A dense field needs no pass for its energy and marginal
     (``_dense_marginal``).
     """
 
-    def __init__(self, w1, w2, u1, u2):
+    def __init__(self, plan: StqolctPlan):
+        w1, w2, u1, u2 = plan.qolct.w1, plan.qolct.w2, plan.u1, plan.u2
         self.w_cell = w1.step * w2.step
         self._volume = self.w_cell * u1.step * u2.step
         self._du = u1.step * u2.step
-        self._marginal = np.zeros((w1.n, w2.n))
+        self._marginals = np.zeros((_CHUNKS, w1.n, w2.n))
         self.u_energy = np.zeros((u1.n, u2.n))
         self._peaks = np.zeros(u1.n)
 
-    @classmethod
-    def for_plan(cls, plan: StqolctPlan):
-        return cls(plan.qolct.w1, plan.qolct.w2, plan.u1, plan.u2)
-
-    def partial(self):
-        return np.zeros_like(self._marginal)
-
-    def add(self, i1, buffers, partial):
+    def __call__(self, k, i1, buffers):
         sq = np.einsum("abuc,abuc->abu", buffers.block, buffers.block, out=buffers.sq)
-        partial += sq.sum(axis=2)
+        self._marginals[k] += sq.sum(axis=2)
         self.u_energy[i1] = sq.sum(axis=(0, 1))
         self._peaks[i1] = sq.max()
-
-    def merge(self, partial):
-        self._marginal += partial
 
     @property
     def energy(self):
@@ -484,7 +457,7 @@ class _FieldSums:
 
     @property
     def w_marginal(self):
-        return self._marginal * self._du
+        return self._marginals.sum(axis=0) * self._du
 
 
 def _dense_marginal(field: StqolctField):
@@ -562,10 +535,9 @@ class _Reconstruction:
     Each coefficient slice goes back through the inverse channel planes;
     the result is weighted by the translated window (the conjugate
     transpose of the forward window matrix) and summed over translations.
-    Only the window's nonzero terms (``_window_terms``) are summed; the
-    sums of the others are exactly zero and stay so.  The planes and
-    window translations are built once and only read by ``add``; a
-    partial is the (4, n1, n2) sum of its rows.  The caller checks that
+    Only the window's nonzero terms (``_window_terms``) are summed, each
+    into one (n1, n2) sum per chunk.  The planes and window translations
+    are built once and only read by the calls.  The caller checks that
     the translation grid has stride 1.
     """
 
@@ -574,35 +546,28 @@ class _Reconstruction:
         self._planes = _phase_planes(plan.qolct._inverse_profiles)
         terms = _window_terms(plan)
         self._windows = _Translations(plan, np.stack([plane.conj() for _, _, plane in terms]))
-        # term (out, in) sums chan_out * conj(W) over u into slot 2*in + out of
-        # the sums p*conj(W_pp), m*conj(W_mp), p*conj(W_pm), m*conj(W_mm)
-        self._slots = [(2 * inp + out, out) for out, inp, _ in terms]
-        self._acc = np.zeros((4, plan.ax1.n, plan.ax2.n), dtype=complex)
+        self._terms = [(out, inp) for out, inp, _ in terms]
+        self._sums = np.zeros((len(terms), _CHUNKS, plan.ax1.n, plan.ax2.n), dtype=complex)
 
-    def partial(self):
-        return np.zeros_like(self._acc)
-
-    def add(self, i1, buffers, partial):
+    def __call__(self, k, i1, buffers):
         chans = _split_channels(buffers.block, out=(buffers.p, buffers.m))
         for chan, (head, _, signs) in zip(chans, self._planes):
             chan *= head[:, :, None]
             _dft2(chan, signs)
         w = self._windows.row(i1)
-        for k, (slot, out) in enumerate(self._slots):
-            partial[slot] += np.einsum("klu,klu->kl", chans[out], w[k])
-
-    def merge(self, partial):
-        self._acc += partial
+        for t, (out, _) in enumerate(self._terms):
+            # term (out, in) sums chan_out * conj(W) over u
+            self._sums[t, k] += np.einsum("klu,klu->kl", chans[out], w[t])
 
     def result(self) -> GridSignal2D:
         plan = self._plan
-        (_, out_p, _), (_, out_m, _) = self._planes
-        acc = self._acc
-        rec_p = out_p * acc[0] + out_m * acc[1]
-        rec_m = out_p * acc[2] + out_m * acc[3]
+        tails = [tail for _, tail, _ in self._planes]
+        rec = np.zeros((2, plan.ax1.n, plan.ax2.n), dtype=complex)
+        for (out, inp), sums in zip(self._terms, self._sums):
+            rec[inp] += tails[out] * sums.sum(axis=0)
         # the translation average du / ||phi||^2
         scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2
-        return GridSignal2D(plan.ax1, plan.ax2, _join_channels(rec_p, rec_m) * scale)
+        return GridSignal2D(plan.ax1, plan.ax2, _join_channels(rec[0], rec[1]) * scale)
 
 
 def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 from .grid import Axis, GridSignal2D, chirp_signal, gaussian_signal, l2_norm
 from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
@@ -69,6 +70,8 @@ _CHECKS = {
 _KNOWN_CHECKS = frozenset(name for names in _CHECKS.values() for name in names)
 
 _EULER_GAMMA = 0.5772156649015329
+
+_CHIRP_KEYS = frozenset({"rate1", "rate2", "freq1", "freq2"})
 
 
 def default_config_dict():
@@ -122,50 +125,82 @@ class RunConfig:
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         merged = {**base, **raw}
+        if not isinstance(merged["param_sets"], list):
+            raise ParameterError(f"param_sets must be a list, got {merged['param_sets']!r}")
         param_sets = []
         for entry in merged["param_sets"]:
             if not isinstance(entry, dict) or "A1" not in entry or "A2" not in entry:
                 raise ParameterError(f"param set needs 'A1' and 'A2' sextets: {entry}")
             name = str(entry.get("name", f"set{len(param_sets)}"))
-            a1 = OlctParams(*[float(v) for v in entry["A1"]])
-            a2 = OlctParams(*[float(v) for v in entry["A2"]])
+            a1 = OlctParams(*_numbers(f"{name} A1", entry["A1"], count=6))
+            a2 = OlctParams(*_numbers(f"{name} A2", entry["A2"], count=6))
             param_sets.append((name, a1, a2))
         if not param_sets:
             raise ParameterError("config needs at least one parameter set")
-        n = int(merged["n"])
-        stride = int(merged["stride"])
+        chirp = merged["chirp"]
+        if not isinstance(chirp, dict) or not set(chirp) <= _CHIRP_KEYS:
+            raise ParameterError(
+                f"chirp must be an object with keys among {sorted(_CHIRP_KEYS)}, got {chirp!r}")
+        config = cls(
+            n=_integer("n", merged["n"]), extent=_number("extent", merged["extent"]),
+            stride=_integer("stride", merged["stride"]),
+            window_alpha=_number("window_alpha", merged["window_alpha"]),
+            gaussian_alphas=_numbers("gaussian_alphas", merged["gaussian_alphas"]),
+            chirp={key: _number(f"chirp {key}", v) for key, v in chirp.items()},
+            param_sets=param_sets,
+            eps=_numbers("eps", merged["eps"]),
+            pitt_alphas=_numbers("pitt_alphas", merged["pitt_alphas"]),
+            hardy_alphas=_numbers("hardy_alphas", merged["hardy_alphas"]),
+            hardy_radius=_number("hardy_radius", merged["hardy_radius"]),
+            hardy_n=_integer("hardy_n", merged["hardy_n"]),
+            oracle_n=_integer("oracle_n", merged["oracle_n"]),
+            oracle_trials=_integer("oracle_trials", merged["oracle_trials"]),
+            seed=_integer("seed", merged["seed"]),
+        )
+        n, stride = config.n, config.stride
         if n < 4 or n % 2:
             raise ParameterError(f"n must be even and at least 4, got {n}")
         if stride < 1 or n % stride:
             raise ParameterError(f"stride must divide n, got {stride}")
-        for e in merged["eps"]:
-            if not 0 <= float(e) < 0.5:
+        for e in config.eps:
+            if not 0 <= e < 0.5:
                 raise ParameterError(f"eps values must lie in [0, 0.5), got {e}")
-        for a in merged["pitt_alphas"]:
-            if not 0 <= float(a) < 2:
+        for a in config.pitt_alphas:
+            if not 0 <= a < 2:
                 raise ParameterError(f"pitt alpha must lie in [0, 2), got {a}")
-        if int(merged["oracle_trials"]) < 1:
+        if config.oracle_trials < 1:
             # zero trials would record a passing oracle check with lhs=0
             raise ParameterError(
-                f"oracle_trials must be at least 1, got {merged['oracle_trials']}")
-        return cls(
-            n=n, extent=float(merged["extent"]), stride=stride,
-            window_alpha=float(merged["window_alpha"]),
-            gaussian_alphas=[float(a) for a in merged["gaussian_alphas"]],
-            chirp=dict(merged["chirp"]), param_sets=param_sets,
-            eps=[float(e) for e in merged["eps"]],
-            pitt_alphas=[float(a) for a in merged["pitt_alphas"]],
-            hardy_alphas=[float(a) for a in merged["hardy_alphas"]],
-            hardy_radius=float(merged["hardy_radius"]),
-            hardy_n=int(merged["hardy_n"]),
-            oracle_n=int(merged["oracle_n"]),
-            oracle_trials=int(merged["oracle_trials"]),
-            seed=int(merged["seed"]),
-        )
+                f"oracle_trials must be at least 1, got {config.oracle_trials}")
+        return config
 
     def axes(self, n=None):
         n = n or self.n
         return Axis.centered(n, self.extent), Axis.centered(n, self.extent)
+
+
+def _number(key, value):
+    """A config value that must be a finite number, as a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(key, value):
+    """A config value that must be integral, as an int."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _numbers(key, value, count=None):
+    """A config value that must be a list of finite numbers (``count`` of them)."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        size = "" if count is None else f"{count} "
+        raise ParameterError(f"{key} must be a list of {size}numbers, got {value!r}")
+    return [_number(key, v) for v in value]
 
 
 def _close(name, params, value, reference, tol):
@@ -380,10 +415,14 @@ def _check_param_set(config, pset, selected):
         # one streamed pass of the field feeds every selected reducer; the
         # exact-support corollary builds its own field and needs no pass
         if want(*_FIELD_CHECKS):
-            sums = _FieldSums.for_plan(plan)
+            sums = _FieldSums(plan)
             rec = _Reconstruction(plan) if identities and want("reconstruction") else None
             _stream(f, plan, *(r for r in (sums, rec) if r is not None))
             marginal = _marginal_map(sums)
+            # read the reconstruction now, so that its per-chunk sums are
+            # not held through the dense fields built below
+            rebuilt = rec.result() if rec is not None else None
+            del rec
 
         if want("boundedness"):
             bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(b1b2))
@@ -397,7 +436,7 @@ def _check_param_set(config, pset, selected):
                                       sums.energy / win_sq, f_sq, 1e-3))
             if want("reconstruction"):
                 results.append(_below("reconstruction", {"set": name},
-                                      _rel_l2(rec.result(), f), 0.0, 1e-3))
+                                      _rel_l2(rebuilt, f), 0.0, 1e-3))
             if want("donoho-stark"):
                 for eps in config.eps:
                     results.append(donoho_stark_check(f, plan, eps, eps, marginal=marginal))
@@ -548,12 +587,24 @@ def write_report(results, path):
 
 
 def load_report(path):
+    """The records of a .jsonl report, one JSON object per nonblank line.
+
+    A line that is not a JSON object raises FormatError at the byte
+    offset where the line starts.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    offset = 0
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict):
+                    raise FormatError(f"{path}: line is not a JSON object", offset=offset)
+                records.append(record)
+            offset += len(line)
     return records
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from qtfa import load_field, load_signal
 from qtfa.cli import main
-from qtfa.verify import UNGATED_CHECKS
+from qtfa.errors import FormatError
+from qtfa.verify import UNGATED_CHECKS, load_report
 
 
 def run(*args):
@@ -140,6 +141,24 @@ class TestTransform:
                    "--A2", "1,1,0,1,0,0", "-i", gauss_file,
                    "-o", tmp_path / "F.qs2d") == 2
 
+    def test_stqolct_rejects_mode(self, tmp_path, gauss_file):
+        window = tmp_path / "w.qs2d"
+        run("gen", "--kind", "gaussian", "--alpha", 2, "--n", 16, "--extent", 8,
+            "-o", window)
+        out = tmp_path / "S.qtf4"
+        assert run("transform", "stqolct", "--A1", "1,1,0,1,0,0", "--A2", "1,1,0,1,0,0",
+                   "--window", window, "--u-stride", 4, "--mode", "direct",
+                   "-i", gauss_file, "-o", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transform, params", [
+        ("qft", []), ("qolct", ["--A1", "0,1,-1,0,0,0", "--A2", "0,1,-1,0,0,0"])])
+    def test_qft_and_qolct_reject_route(self, tmp_path, gauss_file, transform, params):
+        out = tmp_path / "F.qs2d"
+        assert run("transform", transform, *params, "--route", "direct",
+                   "-i", gauss_file, "-o", out) == 2
+        assert not out.exists()
+
     def test_shape_mismatch_exits_3(self, tmp_path, gauss_file):
         window = tmp_path / "w.qs2d"
         run("gen", "--kind", "gaussian", "--alpha", 2, "--n", 8, "--extent", 8,
@@ -223,6 +242,26 @@ class TestVerify:
         assert run("verify", "--config", config, "--out", report) == 2
         assert not report.exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"n": 32.9},                                    # an integer key, not integral
+        {"n": "abc"},
+        {"extent": "wide"},                             # a number key, not a number
+        {"hardy_radius": float("inf")},
+        {"eps": 0.1},                                   # a list key, not a list
+        {"gaussian_alphas": [1.0, "two"]},
+        {"chirp": {"bogus": 1}},                        # chirp keys off the signature
+        {"chirp": [0.25, -0.2]},
+        {"param_sets": [{"A1": [0, 1, -1, 0, 0], "A2": [0, 1, -1, 0, 0, 0]}]},
+    ])
+    def test_mistyped_config_exits_2_before_any_task(self, monkeypatch, tmp_path, entry):
+        monkeypatch.setattr("qtfa.cli.run_verification",
+                            lambda *args, **kwargs: pytest.fail("a task ran"))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(entry))
+        report = tmp_path / "r.jsonl"
+        assert run("verify", "--config", config, "--out", report) == 2
+        assert not report.exists()
+
     def test_malformed_json_exits_2(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text("{not json")
@@ -245,3 +284,15 @@ class TestReport:
         assert run("report", report) == 0
         out = capsys.readouterr().out
         assert "quat-table" in out and "name" in out
+
+    def test_malformed_line_exits_2_at_its_offset(self, tmp_path, capsys):
+        report = tmp_path / "report.jsonl"
+        good = json.dumps({"name": "quat-table", "lhs": 0.0, "rhs": 0.0, "margin": 0.0,
+                           "tolerance": 0.0, "pass": True}) + "\n"
+        for bad in ("{not json\n", "[1, 2]\n"):
+            report.write_text(good + "\n" + bad + good)
+            assert run("report", report) == 2
+            assert "byte offset" in capsys.readouterr().err
+            with pytest.raises(FormatError) as exc:
+                load_report(report)
+            assert exc.value.offset == len(good) + 1

@@ -14,8 +14,8 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
                   translate_window)
 from qtfa.errors import ParameterError, ShapeError
-from qtfa.stqolct import (_CHUNKS, _FieldSums, _max_workers, _Reconstruction, _stream,
-                          _window_terms)
+from qtfa.stqolct import (_CHUNKS, _chunks, _FieldSums, _max_workers, _Reconstruction,
+                          _replay, _stream, _window_terms)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
@@ -411,7 +411,7 @@ def test_streamed_reducers_match_dense_reductions(params):
     psi = random_signal(ax1, ax2, seed=403)
     plan = StqolctPlan.create(*params, ax1, ax2, phi, stride=1)
 
-    sums = _FieldSums.for_plan(plan)
+    sums = _FieldSums(plan)
     rec = _Reconstruction(plan)
     _stream(f, plan, sums, rec)
 
@@ -452,7 +452,7 @@ def _pass_outputs(f, plan):
     field = stqolct_forward(f, plan)
     out = {"forward": field.data, "energy": stqolct_energy(field),
            "marginal": field_w_energy_map(field).values}
-    sums = _FieldSums.for_plan(plan)
+    sums = _FieldSums(plan)
     reducers = [sums]
     if plan.stride == 1:
         out["reconstruct"] = stqolct_reconstruct(field).data
@@ -480,6 +480,31 @@ def test_row_passes_do_not_depend_on_the_worker_count(monkeypatch, n1, n2, strid
         assert run.keys() == runs[0].keys()
         for key, value in run.items():
             assert np.array_equal(value, runs[0][key]), key
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
+def test_a_pass_feeds_each_row_once_in_chunk_order(monkeypatch, threads, n1, n2, stride):
+    # 12 rows do not divide into the chunks; 4 rows leave chunks empty
+    monkeypatch.setenv("QTF_THREADS", threads)
+    ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
+    plan = make_plan(ax1, ax2, stride=stride)
+    f = random_signal(ax1, ax2, seed=415)
+    field = stqolct_forward(f, plan)
+    chunk_of = {i1: k for k, rows in enumerate(_chunks(plan.u1.n)) for i1 in rows}
+    for feed in (lambda reducer: _stream(f, plan, reducer),
+                 lambda reducer: _replay(field, reducer)):
+        calls = []
+
+        def record(k, i1, buffers):
+            calls.append((k, i1, np.array_equal(buffers.block, field.data[:, :, i1])))
+
+        feed(record)
+        assert sorted(i1 for _, i1, _ in calls) == list(range(plan.u1.n))
+        assert all(k == chunk_of[i1] and row_ok for k, i1, row_ok in calls)
+        for k in set(chunk_of.values()):
+            rows = [i1 for kk, i1, _ in calls if kk == k]
+            assert rows == sorted(rows)
 
 
 class TestRowPool:
