@@ -59,7 +59,8 @@ def _build_parser():
     tr.add_argument("--route", default=None, choices=["direct", "via_qolct", "via_qft"],
                     help="stqolct (default via_qolct)")
     tr.add_argument("--window", default=None, help="window signal file (stqolct)")
-    tr.add_argument("--u-stride", type=int, default=1, dest="u_stride")
+    tr.add_argument("--u-stride", type=int, default=None, dest="u_stride",
+                    help="stqolct translation stride (default 1)")
     tr.set_defaults(func=_cmd_transform)
 
     ver = sub.add_parser("verify", help="run the verification corpus")
@@ -119,11 +120,21 @@ def _cmd_gen(args):
     return 0
 
 
+#: the optional flags each transform reads, by their argparse names
+_TRANSFORM_FLAGS = {
+    "qft": {"mode"},
+    "qolct": {"A1", "A2", "mode"},
+    "stqolct": {"A1", "A2", "route", "window", "u_stride"},
+}
+
+
 def _cmd_transform(args):
     # a flag the chosen transform does not read is an error, not a no-op
-    unread = "mode" if args.transform == "stqolct" else "route"
-    if getattr(args, unread) is not None:
-        raise ParameterError(f"transform {args.transform} does not read --{unread}")
+    flags = set().union(*_TRANSFORM_FLAGS.values()) - _TRANSFORM_FLAGS[args.transform]
+    unread = sorted("--" + flag.replace("_", "-") for flag in flags
+                    if getattr(args, flag) is not None)
+    if unread:
+        raise ParameterError(f"transform {args.transform} does not read {', '.join(unread)}")
     mode = args.mode or "fast"
     f = load_signal(args.input)
     if args.transform == "qft":
@@ -143,7 +154,7 @@ def _cmd_transform(args):
         raise ParameterError("transform stqolct needs --window")
     window = load_signal(args.window)
     plan = StqolctPlan.create(params1, params2, f.ax1, f.ax2, window,
-                              stride=args.u_stride)
+                              stride=1 if args.u_stride is None else args.u_stride)
     field = stqolct_forward(f, plan, route=args.route or "via_qolct")
     save_field(field, args.output)
     return 0

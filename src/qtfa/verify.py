@@ -1,11 +1,18 @@
 """Verification corpus: configured checks over signals, transforms, and bounds.
 
 ``run_verification`` builds a corpus of test signals, windows, and
-parameter sets from a RunConfig, evaluates every selected check, and
-returns InequalityResult records (one JSON object per line in report
-files).  All margins are oriented so that nonnegative (within the
-recorded tolerance) means pass.  A handful of records are diagnostics
-that never gate the exit status; everything else must pass.
+parameter sets from a RunConfig and returns InequalityResult records
+(one JSON object per line in report files).  All margins are oriented so
+that nonnegative (within the recorded tolerance) means pass.  A handful
+of records are diagnostics that never gate the exit status; everything
+else must pass.
+
+A selection (``only``) picks the records that are reported: a task that
+emits a selected name computes all its records, in order, and one name
+filter at the end keeps the selected ones.  Only four costly inputs of a
+parameter set wait for a selected record that reads them: the streamed
+field pass, its reconstruction, the exact-support corollary's dense
+field and each Moyal identity.
 
 Checks are independent and run on a small thread pool (capped by the
 QTF_THREADS environment variable); the row passes inside a task run their
@@ -52,8 +59,9 @@ _FIELD_CHECKS = ("boundedness", "energy", "isometry", "reconstruction", "donoho-
                  "pitt", "pitt-equality", "log-up-literal", "log-up-derivative",
                  "hardy-field")
 
-#: every record name, by the task that emits it: the one table behind
-#: --only; task labels are a key, or a key and a parameter set name
+#: every record name, by the task that emits it (a task label is a key, or
+#: a key and a parameter set name); a new record is its emission plus an
+#: entry here, and one in _FIELD_CHECKS if it reads the streamed pass
 _CHECKS = {
     "quat-algebra": ("quat-table", "quat-norm-multiplicative",
                      "quat-conj-antiautomorphism", "quat-scalar-cyclic"),
@@ -172,6 +180,17 @@ class RunConfig:
             # zero trials would record a passing oracle check with lhs=0
             raise ParameterError(
                 f"oracle_trials must be at least 1, got {config.oracle_trials}")
+        if config.oracle_n < 4 or config.oracle_n % 4:
+            # stqolct-routes samples the oracle grid's translations at stride 4
+            raise ParameterError(
+                f"oracle_n must be a multiple of 4, at least 4, got {config.oracle_n}")
+        if config.hardy_n < 2:
+            raise ParameterError(f"hardy_n must be at least 2, got {config.hardy_n}")
+        for key in ("extent", "window_alpha", "hardy_radius", "gaussian_alphas",
+                    "hardy_alphas"):
+            value = getattr(config, key)
+            if any(v <= 0 for v in (value if isinstance(value, list) else [value])):
+                raise ParameterError(f"{key} must be positive, got {value!r}")
         return config
 
     def axes(self, n=None):
@@ -363,110 +382,85 @@ def _check_param_set(config, pset, selected):
     results = []
     ax1, ax2 = config.axes()
     want = lambda *names: selected is None or any(s in selected for s in names)
+    plan = QolctPlan.for_axes(a1, a2, ax1, ax2)
+    for alpha in config.gaussian_alphas:
+        f = gaussian_signal(ax1, ax2, alpha)
+        F = qolct_forward(f, plan)
+        results.append(_close("qolct-plancherel", {"set": name, "alpha": alpha},
+                              l2_norm(F) / l2_norm(f), 1.0, 1e-4))
+        results.append(_below("qolct-roundtrip", {"set": name, "alpha": alpha},
+                              _rel_l2(qolct_inverse(F, plan), f), 0.0, 1e-6))
 
-    if want("qolct-plancherel", "qolct-roundtrip"):
-        plan = QolctPlan.for_axes(a1, a2, ax1, ax2)
-        for alpha in config.gaussian_alphas:
-            f = gaussian_signal(ax1, ax2, alpha)
-            F = qolct_forward(f, plan)
-            if want("qolct-plancherel"):
-                results.append(_close("qolct-plancherel",
-                                      {"set": name, "alpha": alpha},
-                                      l2_norm(F) / l2_norm(f), 1.0, 1e-4))
-            if want("qolct-roundtrip"):
-                results.append(_below("qolct-roundtrip",
-                                      {"set": name, "alpha": alpha},
-                                      _rel_l2(qolct_inverse(F, plan), f), 0.0, 1e-6))
-
-    if want("qolct-oracle"):
-        oax1, oax2 = config.axes(config.oracle_n)
-        oplan = QolctPlan.for_axes(a1, a2, oax1, oax2)
-        worst = 0.0
-        for trial in range(config.oracle_trials):
-            rng = np.random.default_rng(config.seed + 2000 + trial)
-            f = _rand_signal(oax1, oax2, rng)
-            worst = max(worst, _max_abs(qolct_forward(f, oplan, "fast").data,
-                                        qolct_forward(f, oplan, "direct").data))
-        results.append(_below("qolct-oracle", {"set": name, "n": config.oracle_n},
-                              worst, 0.0, 1e-9))
-
-    if want("stqolct-routes"):
-        oax1, oax2 = config.axes(config.oracle_n)
-        rng = np.random.default_rng(config.seed + 3000)
+    oax1, oax2 = config.axes(config.oracle_n)
+    oplan = QolctPlan.for_axes(a1, a2, oax1, oax2)
+    worst = 0.0
+    for trial in range(config.oracle_trials):
+        rng = np.random.default_rng(config.seed + 2000 + trial)
         f = _rand_signal(oax1, oax2, rng)
-        window = gaussian_signal(oax1, oax2, config.window_alpha)
-        plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
-        fields = {r: stqolct_forward(f, plan, r).data
-                  for r in ("direct", "via_qolct", "via_qft")}
-        worst = max(_max_abs(fields["direct"], fields["via_qolct"]),
-                    _max_abs(fields["direct"], fields["via_qft"]),
-                    _max_abs(fields["via_qolct"], fields["via_qft"]))
-        results.append(_below("stqolct-routes", {"set": name, "n": config.oracle_n,
-                                                 "stride": 4}, worst, 0.0, 1e-9))
+        worst = max(worst, _max_abs(qolct_forward(f, oplan, "fast").data,
+                                    qolct_forward(f, oplan, "direct").data))
+    results.append(_below("qolct-oracle", {"set": name, "n": config.oracle_n},
+                          worst, 0.0, 1e-9))
 
-    if want(*_FIELD_CHECKS, "donoho-stark-support"):
-        window = gaussian_signal(ax1, ax2, config.window_alpha)
-        plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=config.stride)
-        f = gaussian_signal(ax1, ax2, 1.0)
-        win_sq = l2_norm(window) ** 2
-        f_sq = l2_norm(f) ** 2
-        b1b2 = abs(a1.b * a2.b)
-        identities = config.stride == 1
-        # one streamed pass of the field feeds every selected reducer; the
-        # exact-support corollary builds its own field and needs no pass
-        if want(*_FIELD_CHECKS):
-            sums = _FieldSums(plan)
-            rec = _Reconstruction(plan) if identities and want("reconstruction") else None
-            _stream(f, plan, *(r for r in (sums, rec) if r is not None))
-            marginal = _marginal_map(sums)
-            # read the reconstruction now, so that its per-chunk sums are
-            # not held through the dense fields built below
-            rebuilt = rec.result() if rec is not None else None
-            del rec
+    f = _rand_signal(oax1, oax2, np.random.default_rng(config.seed + 3000))
+    window = gaussian_signal(oax1, oax2, config.window_alpha)
+    plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
+    fields = {r: stqolct_forward(f, plan, r).data
+              for r in ("direct", "via_qolct", "via_qft")}
+    worst = max(_max_abs(fields["direct"], fields["via_qolct"]),
+                _max_abs(fields["direct"], fields["via_qft"]),
+                _max_abs(fields["via_qolct"], fields["via_qft"]))
+    results.append(_below("stqolct-routes", {"set": name, "n": config.oracle_n,
+                                             "stride": 4}, worst, 0.0, 1e-9))
 
-        if want("boundedness"):
-            bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(b1b2))
-            results.append(_below("boundedness", {"set": name}, sums.sup, bound, 1e-9))
-        if identities:
-            if want("energy"):
-                results.append(_close("energy", {"set": name},
-                                      sums.energy, win_sq * f_sq, 1e-3))
-            if want("isometry"):
-                results.append(_close("isometry", {"set": name},
-                                      sums.energy / win_sq, f_sq, 1e-3))
-            if want("reconstruction"):
-                results.append(_below("reconstruction", {"set": name},
-                                      _rel_l2(rebuilt, f), 0.0, 1e-3))
-            if want("donoho-stark"):
-                for eps in config.eps:
-                    results.append(donoho_stark_check(f, plan, eps, eps, marginal=marginal))
-            if want("donoho-stark-support"):
-                results.append(_donoho_stark_corollary(config, plan, name))
-            if want("pitt", "pitt-equality"):
-                for alpha in config.pitt_alphas:
-                    res = pitt_check(f, plan, alpha, marginal=marginal)
-                    res.params["set"] = name
-                    results.append(res)
-                    if alpha == 0.0:
-                        results.append(_close("pitt-equality", {"set": name},
-                                              res.lhs, res.rhs, 1e-3))
-            if want("log-up-literal", "log-up-derivative"):
-                literal, derivative = log_up_check(f, plan, marginal=marginal)
-                literal.params["set"] = name
-                derivative.params["set"] = name
-                results.extend([literal, derivative])
-            if want("hardy-field"):
-                results.extend(_hardy_field(config, plan, f, sums, name))
-
-    if want("moyal-shared-window", "moyal-shared-signal", "moyal-general"):
-        results.extend(_check_moyal(config, pset, want))
-    return results
+    window = gaussian_signal(ax1, ax2, config.window_alpha)
+    plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=config.stride)
+    f = gaussian_signal(ax1, ax2, 1.0)
+    identities = config.stride == 1
+    # one streamed pass of the field feeds every field record; the
+    # exact-support corollary builds its own field and needs no pass
+    streamed = want(*_FIELD_CHECKS)
+    if streamed:
+        sums = _FieldSums(plan)
+        rec = _Reconstruction(plan) if identities and want("reconstruction") else None
+        _stream(f, plan, *(r for r in (sums, rec) if r is not None))
+        marginal = _marginal_map(sums)
+        # read the reconstruction now, so that its per-chunk sums are
+        # not held through the dense fields built below
+        rebuilt = rec.result() if rec is not None else None
+        del rec
+        bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(abs(a1.b * a2.b)))
+        results.append(_below("boundedness", {"set": name}, sums.sup, bound, 1e-9))
+    if streamed and identities:
+        win_sq, f_sq = l2_norm(window) ** 2, l2_norm(f) ** 2
+        results.append(_close("energy", {"set": name}, sums.energy, win_sq * f_sq, 1e-3))
+        results.append(_close("isometry", {"set": name}, sums.energy / win_sq, f_sq, 1e-3))
+        if rebuilt is not None:
+            results.append(_below("reconstruction", {"set": name},
+                                  _rel_l2(rebuilt, f), 0.0, 1e-3))
+        for eps in config.eps:
+            res = donoho_stark_check(f, plan, eps, eps, marginal=marginal)
+            res.params["set"] = name
+            results.append(res)
+    if identities and want("donoho-stark-support"):
+        results.append(_donoho_stark_corollary(config, plan, f, name))
+    if streamed and identities:
+        for alpha in config.pitt_alphas:
+            res = pitt_check(f, plan, alpha, marginal=marginal)
+            res.params["set"] = name
+            results.append(res)
+            if alpha == 0.0:
+                results.append(_close("pitt-equality", {"set": name}, res.lhs, res.rhs, 1e-3))
+        for res in log_up_check(f, plan, marginal=marginal):
+            res.params["set"] = name
+            results.append(res)
+        results.extend(_hardy_field(config, plan, f, sums, name))
+    return results + _check_moyal(config, pset, want)
 
 
-def _donoho_stark_corollary(config, plan, name):
+def _donoho_stark_corollary(config, plan, f, name):
     # exact-support case: compactly truncated signal, eps = 0 on both sides
     ax1, ax2 = plan.ax1, plan.ax2
-    f = gaussian_signal(ax1, ax2, 1.0)
     radii = np.hypot(ax1.coords[:, None], ax2.coords[None, :])
     data = f.data.copy()
     data[radii > config.extent / 2.0] = 0.0
@@ -589,8 +583,9 @@ def write_report(results, path):
 def load_report(path):
     """The records of a .jsonl report, one JSON object per nonblank line.
 
-    A line that is not a JSON object raises FormatError at the byte
-    offset where the line starts.
+    A line that is not a JSON object, or whose lhs, rhs, margin or
+    tolerance is present but not a JSON number, raises FormatError at the
+    byte offset where the line starts.
     """
     records = []
     offset = 0
@@ -603,6 +598,10 @@ def load_report(path):
                     record = None
                 if not isinstance(record, dict):
                     raise FormatError(f"{path}: line is not a JSON object", offset=offset)
+                for key in ("lhs", "rhs", "margin", "tolerance"):
+                    # type(), not isinstance(): a JSON true is not a number
+                    if key in record and type(record[key]) not in (int, float):
+                        raise FormatError(f"{path}: {key} is not a number", offset=offset)
                 records.append(record)
             offset += len(line)
     return records

@@ -152,11 +152,18 @@ class TestTransform:
         assert not out.exists()
 
     @pytest.mark.parametrize("transform, params", [
-        ("qft", []), ("qolct", ["--A1", "0,1,-1,0,0,0", "--A2", "0,1,-1,0,0,0"])])
+        ("qft", ["--route", "direct"]),
+        ("qolct", ["--A1", "0,1,-1,0,0,0", "--A2", "0,1,-1,0,0,0", "--route", "direct"]),
+        # every other flag the transform does not read is rejected as well
+        ("qft", ["--window", "nonexistent.qs2d", "--A1", "bogus", "--u-stride", "3"]),
+        ("qft", ["--A1", "0,1,-1,0,0,0", "--A2", "0,1,-1,0,0,0"]),
+        ("qolct", ["--A1", "0,1,-1,0,0,0", "--A2", "0,1,-1,0,0,0",
+                   "--window", "nonexistent.qs2d"]),
+        ("qolct", ["--A1", "0,1,-1,0,0,0", "--A2", "0,1,-1,0,0,0", "--u-stride", "1"]),
+    ])
     def test_qft_and_qolct_reject_route(self, tmp_path, gauss_file, transform, params):
         out = tmp_path / "F.qs2d"
-        assert run("transform", transform, *params, "--route", "direct",
-                   "-i", gauss_file, "-o", out) == 2
+        assert run("transform", transform, *params, "-i", gauss_file, "-o", out) == 2
         assert not out.exists()
 
     def test_shape_mismatch_exits_3(self, tmp_path, gauss_file):
@@ -252,6 +259,14 @@ class TestVerify:
         {"chirp": {"bogus": 1}},                        # chirp keys off the signature
         {"chirp": [0.25, -0.2]},
         {"param_sets": [{"A1": [0, 1, -1, 0, 0], "A2": [0, 1, -1, 0, 0, 0]}]},
+        {"oracle_n": 6},                                # stqolct-routes uses stride 4
+        {"oracle_n": 0},
+        {"extent": 0},                                  # out of a positive domain
+        {"window_alpha": -1.0},
+        {"hardy_radius": 0},
+        {"gaussian_alphas": [0]},
+        {"hardy_alphas": [1.0, -0.5]},
+        {"hardy_n": 1},
     ])
     def test_mistyped_config_exits_2_before_any_task(self, monkeypatch, tmp_path, entry):
         monkeypatch.setattr("qtfa.cli.run_verification",
@@ -289,7 +304,10 @@ class TestReport:
         report = tmp_path / "report.jsonl"
         good = json.dumps({"name": "quat-table", "lhs": 0.0, "rhs": 0.0, "margin": 0.0,
                            "tolerance": 0.0, "pass": True}) + "\n"
-        for bad in ("{not json\n", "[1, 2]\n"):
+        for bad in ("{not json\n", "[1, 2]\n",
+                    # a numeric field present but not a JSON number
+                    '{"name": "x", "lhs": "abc"}\n', '{"name": "x", "rhs": null}\n',
+                    '{"name": "x", "margin": true}\n', '{"name": "x", "tolerance": {}}\n'):
             report.write_text(good + "\n" + bad + good)
             assert run("report", report) == 2
             assert "byte offset" in capsys.readouterr().err

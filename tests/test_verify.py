@@ -128,18 +128,20 @@ class TestRunVerification:
         return calls
 
     @pytest.mark.parametrize("name", ["moyal-shared-window", "moyal-shared-signal",
-                                      "moyal-general"])
+                                      "moyal-general", "energy"])
     def test_only_one_moyal_record_makes_one_call_per_set(self, monkeypatch, name):
-        # every Moyal record used to cost all three moyal_check calls
+        # every Moyal record used to cost all three moyal_check calls, and
+        # a record that is not a Moyal identity costs none
         calls = self._count_calls(monkeypatch, "moyal_check")
         config = RunConfig.from_dict({**default_config_dict(), "n": 16})
         results = run_verification(config, only=[name])
         assert len(results) == len(config.param_sets)
-        assert len(calls) == len(config.param_sets)
+        assert len(calls) == (len(config.param_sets) if name.startswith("moyal") else 0)
 
     @pytest.mark.parametrize("only, passes", [(["donoho-stark-support"], 0),
                                               (["energy"], 1),
-                                              (["energy", "donoho-stark-support"], 1)])
+                                              (["energy", "donoho-stark-support"], 1),
+                                              (["qolct-oracle"], 0)])
     def test_streamed_pass_runs_only_for_the_checks_it_feeds(self, monkeypatch, only,
                                                              passes):
         # the exact-support corollary builds its own field; selecting it
@@ -149,6 +151,15 @@ class TestRunVerification:
         results = run_verification(config, only=only)
         assert {r.name for r in results} == set(only)
         assert len(calls) == passes * len(config.param_sets)
+
+    @pytest.mark.parametrize("name, builds", [("energy", 0), ("reconstruction", 1)])
+    def test_reconstruction_is_built_only_for_its_record(self, monkeypatch, name, builds):
+        # the reconstruction's per-chunk sums cost a second reducer in the pass
+        calls = self._count_calls(monkeypatch, "_Reconstruction")
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        results = run_verification(config, only=[name])
+        assert {r.name for r in results} == {name}
+        assert len(calls) == builds * len(config.param_sets)
 
     def test_ungated_checks_never_gate(self):
         results = run_verification(small_config(), only=sorted(UNGATED_CHECKS))
