@@ -150,18 +150,23 @@ def _phase_planes(profiles):
                  for ch in profiles)
 
 
-def _dft2(x, signs):
-    """In-place unscaled DFT over the first two axes of a complex array.
+def _dft(x, axis, sign):
+    """In-place unscaled DFT along one axis of a complex array.
 
-    ``signs`` are the exponent signs for axes 0 and 1: -1 is numpy's
-    forward FFT, +1 its inverse without the 1/n.
+    ``sign`` is the exponent sign: -1 is numpy's forward FFT, +1 its
+    inverse without the 1/n.
     """
-    for axis, sign in ((1, signs[1]), (0, signs[0])):
-        if sign < 0:
-            np.fft.fft(x, axis=axis, out=x)
-        else:
-            np.fft.ifft(x, axis=axis, norm="forward", out=x)
+    if sign < 0:
+        np.fft.fft(x, axis=axis, out=x)
+    else:
+        np.fft.ifft(x, axis=axis, norm="forward", out=x)
     return x
+
+
+def _dft2(x, signs):
+    """In-place unscaled DFT over the first two axes, ``signs`` for axes 0 and 1."""
+    _dft(x, 1, signs[1])
+    return _dft(x, 0, signs[0])
 
 
 def _split_channels(data, out=None):

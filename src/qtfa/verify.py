@@ -9,15 +9,18 @@ else must pass.
 
 A selection (``only``) picks the records that are reported: a task that
 emits a selected name computes all its records, in order, and one name
-filter at the end keeps the selected ones.  Only four costly inputs of a
-parameter set wait for a selected record that reads them: the streamed
-field pass, its reconstruction, the exact-support corollary's dense
-field and each Moyal identity.
+filter at the end keeps the selected ones.  Only three costly inputs of
+a parameter set wait for a selected record that reads them: the
+streamed field pass, its reconstruction and the exact-support
+corollary's dense field.
 
-Checks are independent and run on a small thread pool (capped by the
+Tasks are independent and run on a small thread pool (capped by the
 QTF_THREADS environment variable); the row passes inside a task run their
-chunks inline.  Each check is deterministic for a fixed config, so
-results do not depend on the degree of parallelism.
+chunks inline.  Each parameter set is five tasks, queued in report order:
+its ``params`` records, then one task per Moyal record (each one
+``moyal_check`` call, the costliest single records of a set), then its
+``beurling`` records.  Each check is deterministic for a fixed config,
+so results do not depend on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ _FIELD_CHECKS = ("boundedness", "energy", "isometry", "reconstruction", "donoho-
                  "pitt", "pitt-equality", "log-up-literal", "log-up-derivative",
                  "hardy-field")
 
+#: the Moyal identity records, one pool task and one moyal_check call each
+_MOYAL_CHECKS = ("moyal-shared-window", "moyal-shared-signal", "moyal-general")
+
 #: every record name, by the task that emits it (a task label is a key, or
 #: a key and a parameter set name); a new record is its emission plus an
 #: entry here, and one in _FIELD_CHECKS if it reads the streamed pass
@@ -70,8 +76,8 @@ _CHECKS = {
     "qft": ("qft-plancherel", "qft-roundtrip", "qft-oracle"),
     "hardy": ("hardy-qft", "hardy-chirp"),
     "params": ("qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes",
-               *_FIELD_CHECKS, "donoho-stark-support", "moyal-shared-window",
-               "moyal-shared-signal", "moyal-general"),
+               *_FIELD_CHECKS, "donoho-stark-support"),
+    **{name: (name,) for name in _MOYAL_CHECKS},
     "beurling": ("beurling-value", "beurling-monotone"),
 }
 
@@ -455,7 +461,7 @@ def _check_param_set(config, pset, selected):
             res.params["set"] = name
             results.append(res)
         results.extend(_hardy_field(config, plan, f, sums, name))
-    return results + _check_moyal(config, pset, want)
+    return results
 
 
 def _donoho_stark_corollary(config, plan, f, name):
@@ -498,35 +504,34 @@ def _hardy_field(config, plan, f, sums, name):
     return results
 
 
-def _check_moyal(config, pset, want):
-    # identity checks scale as n^4 in memory; a 48-point grid resolves the
-    # corpus signals while keeping the two coefficient stacks small
+def _check_moyal(config, pset, label):
+    # S_f^phi against S_g^psi: moyal-shared-window takes g, phi;
+    # moyal-shared-signal f, psi; moyal-general g, psi.  Identity checks
+    # scale as n^4 in memory; a 48-point grid resolves the corpus signals
+    # while keeping the two coefficient stacks small
     name, a1, a2 = pset
     ax1, ax2 = config.axes(min(config.n, 48))
     qplan = QolctPlan.for_axes(a1, a2, ax1, ax2)
     f = gaussian_signal(ax1, ax2, 1.0)
-    g = GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **config.chirp).data,
-                                    gaussian_signal(ax1, ax2, 0.75).data))
     phi = gaussian_signal(ax1, ax2, config.window_alpha)
-    psi = gaussian_signal(ax1, ax2, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
-    results = []
-    for label, sig, win in (("moyal-shared-window", g, phi),
-                            ("moyal-shared-signal", f, psi)):
-        if want(label):
-            res = moyal_check(f, sig, phi, win, qplan)
-            scale = max(abs(float(res.rhs[0])), 1e-300)
-            results.append(_close(label, {"set": name}, float(res.lhs[0]) / scale,
-                                  float(res.rhs[0]) / scale, 1e-3))
-    if want("moyal-general"):
-        general = moyal_check(f, g, phi, psi, qplan)
-        results.append(InequalityResult(
-            name="moyal-general",
-            params={"set": name, "lhs": [float(v) for v in general.lhs],
-                    "rhs": [float(v) for v in general.rhs],
-                    "rhs_reversed": [float(v) for v in general.rhs_reversed]},
-            lhs=float(general.lhs[0]), rhs=float(general.rhs[0]),
-            margin=0.0, tolerance=0.0, passed=True))
-    return results
+    g, psi = f, phi
+    if label != "moyal-shared-signal":
+        g = GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **config.chirp).data,
+                                        gaussian_signal(ax1, ax2, 0.75).data))
+    if label != "moyal-shared-window":
+        psi = gaussian_signal(ax1, ax2, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
+    res = moyal_check(f, g, phi, psi, qplan)
+    if label == "moyal-general":
+        return [InequalityResult(
+            name=label,
+            params={"set": name, "lhs": [float(v) for v in res.lhs],
+                    "rhs": [float(v) for v in res.rhs],
+                    "rhs_reversed": [float(v) for v in res.rhs_reversed]},
+            lhs=float(res.lhs[0]), rhs=float(res.rhs[0]),
+            margin=0.0, tolerance=0.0, passed=True)]
+    scale = max(abs(float(res.rhs[0])), 1e-300)
+    return [_close(label, {"set": name}, float(res.lhs[0]) / scale,
+                   float(res.rhs[0]) / scale, 1e-3)]
 
 
 def run_verification(config: RunConfig, only=None):
@@ -549,6 +554,9 @@ def run_verification(config: RunConfig, only=None):
     for pset in config.param_sets:
         tasks.append((f"params:{pset[0]}",
                       lambda p=pset: _check_param_set(config, p, selected)))
+        for label in _MOYAL_CHECKS:
+            tasks.append((f"{label}:{pset[0]}",
+                          lambda p=pset, label=label: _check_moyal(config, p, label)))
         tasks.append((f"beurling:{pset[0]}", lambda p=pset: _check_beurling(config, p)))
 
     if selected is not None:
@@ -580,12 +588,21 @@ def write_report(results, path):
             fh.write(json.dumps(res.as_record()) + "\n")
 
 
+_NUMBER = ((int, float), "a number")
+
+#: the JSON types of a report record's fields, where present
+_RECORD_TYPES = {"name": ((str,), "a string"), "lhs": _NUMBER, "rhs": _NUMBER,
+                 "margin": _NUMBER, "tolerance": _NUMBER, "pass": ((bool,), "a boolean")}
+
+
 def load_report(path):
     """The records of a .jsonl report, one JSON object per nonblank line.
 
-    A line that is not a JSON object, or whose lhs, rhs, margin or
-    tolerance is present but not a JSON number, raises FormatError at the
-    byte offset where the line starts.
+    A line that is not a JSON object, or that has a field of
+    ``_RECORD_TYPES`` of another JSON type (a name that is not a string,
+    a pass that is not a boolean, an lhs, rhs, margin or tolerance that
+    is not a number), raises FormatError at the byte offset where the
+    line starts.
     """
     records = []
     offset = 0
@@ -598,10 +615,10 @@ def load_report(path):
                     record = None
                 if not isinstance(record, dict):
                     raise FormatError(f"{path}: line is not a JSON object", offset=offset)
-                for key in ("lhs", "rhs", "margin", "tolerance"):
+                for key, (kinds, what) in _RECORD_TYPES.items():
                     # type(), not isinstance(): a JSON true is not a number
-                    if key in record and type(record[key]) not in (int, float):
-                        raise FormatError(f"{path}: {key} is not a number", offset=offset)
+                    if key in record and type(record[key]) not in kinds:
+                        raise FormatError(f"{path}: {key} is not {what}", offset=offset)
                 records.append(record)
             offset += len(line)
     return records

@@ -307,7 +307,10 @@ class TestReport:
         for bad in ("{not json\n", "[1, 2]\n",
                     # a numeric field present but not a JSON number
                     '{"name": "x", "lhs": "abc"}\n', '{"name": "x", "rhs": null}\n',
-                    '{"name": "x", "margin": true}\n', '{"name": "x", "tolerance": {}}\n'):
+                    '{"name": "x", "margin": true}\n', '{"name": "x", "tolerance": {}}\n',
+                    # a name that is not a string, a pass that is not a boolean
+                    '{"name": 5, "lhs": 0.0}\n', '{"name": null}\n',
+                    '{"name": "x", "pass": "false"}\n', '{"name": "x", "pass": 0}\n'):
             report.write_text(good + "\n" + bad + good)
             assert run("report", report) == 2
             assert "byte offset" in capsys.readouterr().err

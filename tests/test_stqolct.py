@@ -15,7 +15,7 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   translate_window)
 from qtfa.errors import ParameterError, ShapeError
 from qtfa.stqolct import (_CHUNKS, _chunks, _FieldSums, _max_workers, _Reconstruction,
-                          _replay, _stream, _window_terms)
+                          _replay, _stream, _window_factors, _window_terms)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
@@ -36,6 +36,17 @@ WINDOW_TERMS = {"full": 4, "span-1-j": 2, "real": 2, "real-one-i": 4}
 def make_plan(ax1, ax2, params1=MIXED, params2=NEG_B, window_alpha=2.0, stride=1):
     window = gaussian_signal(ax1, ax2, window_alpha)
     return StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
+
+
+def factored_window(ax1, ax2, seed):
+    """q * a(x1) * b(x2) with a random quaternion q and real a and b that
+    change sign and are zero at the edge samples."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(ax1.n), rng.standard_normal(ax2.n)
+    for profile in (a, b):
+        profile[[0, -1]] = 0.0
+        profile[1:3] = abs(profile[1]), -abs(profile[2])
+    return GridSignal2D(ax1, ax2, np.multiply.outer(np.outer(a, b), rng.standard_normal(4)))
 
 
 def shaped_window(ax1, ax2, shape, seed):
@@ -392,10 +403,39 @@ def _check_row_engine_against_direct(params1, params2, grid, seed, shape="full")
     window = shaped_window(ax1, ax2, shape, seed=seed)
     plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
     assert len(_window_terms(plan)) == WINDOW_TERMS[shape]
-    f = random_signal(ax1, ax2, seed=seed + 1)
+    assert _window_factors(plan) is None
+    _check_fast_against_direct(plan, seed + 1)
+
+
+def _check_fast_against_direct(plan, seed):
+    f = random_signal(plan.ax1, plan.ax2, seed=seed)
     fast = stqolct_forward(f, plan, "via_qolct").data
     direct = stqolct_forward(f, plan, "direct").data
     assert np.max(np.abs(fast - direct)) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(params1=sextets(), params2=sextets(), grid=rectangular_grids(),
+       seed=st.integers(0, 2**32 - 2))
+def test_factored_row_engine_matches_direct(params1, params2, grid, seed):
+    ax1, ax2, stride = grid
+    window = factored_window(ax1, ax2, seed)
+    plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
+    assert _window_factors(plan) is not None
+    _check_fast_against_direct(plan, seed + 1)
+
+
+@pytest.mark.parametrize("amplitude", [None, quat(0.8, 0.3, 0.0, 0.1)])
+def test_a_gaussian_factors_and_one_off_by_1e_9_at_a_sample_does_not(amplitude):
+    ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
+    window = gaussian_signal(ax1, ax2, 2.0, amplitude=amplitude)
+    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
+    assert _window_factors(plan) is not None
+    _check_fast_against_direct(plan, seed=420)
+    window.data[7, 3, 0] += 1e-9 * np.max(qnorm(window.data))
+    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
+    assert _window_factors(plan) is None
+    _check_fast_against_direct(plan, seed=420)
 
 
 def _rel(a, b):
@@ -471,7 +511,26 @@ def test_row_passes_do_not_depend_on_the_worker_count(monkeypatch, n1, n2, strid
     assert n1 // stride % _CHUNKS or n1 // stride < _CHUNKS
     ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
     plan = make_plan(ax1, ax2, stride=stride)
-    f = random_signal(ax1, ax2, seed=410)
+    assert _window_factors(plan) is not None
+    _check_threads_do_not_change_passes(monkeypatch, plan, seed=410)
+
+
+@pytest.mark.parametrize("window", ["quaternion-gaussian", "rank-one", "random"])
+@pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
+def test_each_engine_is_bit_identical_at_1_2_and_3_threads(monkeypatch, window, n1, n2,
+                                                           stride):
+    ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
+    phi = {"quaternion-gaussian": lambda: gaussian_signal(ax1, ax2, 1.5,
+                                                          amplitude=quat(0.8, 0.3, 0.0, 0.1)),
+           "rank-one": lambda: factored_window(ax1, ax2, seed=416),
+           "random": lambda: random_signal(ax1, ax2, seed=416)}[window]()
+    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, phi, stride=stride)
+    assert (_window_factors(plan) is None) == (window == "random")
+    _check_threads_do_not_change_passes(monkeypatch, plan, seed=417)
+
+
+def _check_threads_do_not_change_passes(monkeypatch, plan, seed):
+    f = random_signal(plan.ax1, plan.ax2, seed=seed)
     runs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("QTF_THREADS", threads)

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -137,6 +138,31 @@ class TestRunVerification:
         results = run_verification(config, only=[name])
         assert len(results) == len(config.param_sets)
         assert len(calls) == (len(config.param_sets) if name.startswith("moyal") else 0)
+
+    def test_no_pool_task_makes_more_than_one_moyal_call(self, monkeypatch):
+        # each Moyal record is its own task, so no task runs two Moyal pairs
+        task = threading.local()
+        calls = []
+        original = verify.moyal_check
+
+        def counted(*args, **kwargs):
+            calls.append(task.label)
+            return original(*args, **kwargs)
+
+        class Labelled(verify.ThreadPoolExecutor):
+            def map(self, fn, items):
+                def run(item):
+                    task.label = item[0]
+                    return fn(item)
+
+                return super().map(run, items)
+
+        monkeypatch.setattr(verify, "moyal_check", counted)
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", Labelled)
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        run_verification(config)
+        assert len(calls) == 3 * len(config.param_sets)
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("only, passes", [(["donoho-stark-support"], 0),
                                               (["energy"], 1),
