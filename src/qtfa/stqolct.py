@@ -51,17 +51,20 @@ window shapes:
   (``_phase_planes``), ``_dft2`` over both axes, and the channel join.
 
 Both run the split-channel engine of ``qft`` on the QOLCT plan's cached
-profiles.  The reconstruction (``_Reconstruction``) and the oracles run
-the same code for both shapes.
+profiles.  The reconstruction (``_Reconstruction``) splits the same way:
+a factored window takes one inverse FFT axis per row and the other once
+per pass, any other window both axes per row.  The oracles run the same
+code for both shapes.
 
 Everything downstream consumes rows through one reducer protocol
 (``_pass``): a reducer is a callable ``reducer(k, i1, buffers)`` that adds
 row i1 (in ``buffers.block``) of chunk k into a partial sum of its own for
-that chunk.  A pass cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a
-count that does not depend on the number of workers, and feeds each
-chunk's rows in order.  A reducer adds its per-chunk sums in chunk order
-when its result is read, so every sum is the same to the last bit whether
-the chunks run on a pool or inline.  ``_pass`` alone decides which, from
+that chunk, or writes it into a slot of its own for that row.  A pass
+cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a count that does
+not depend on the number of workers, and feeds each chunk's rows in
+order.  A reducer adds its per-chunk sums in chunk order when its result
+is read, so every sum is the same to the last bit whether the chunks run
+on a pool or inline.  ``_pass`` alone decides which, from
 the calling thread: on the main thread the chunks run on a pool of
 ``_max_workers()`` threads (``QTF_THREADS``); any other thread is
 already a worker of some pool (verify's, or a caller's), so there they
@@ -625,18 +628,45 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
 class _Reconstruction:
     """Channel-native inverse of the row engine, a ``_pass`` reducer.
 
-    Each coefficient slice goes back through the inverse channel planes;
-    the result is weighted by the translated window (the conjugate
-    transpose of the forward window matrix) and summed over translations.
-    Only the window's nonzero terms (``_window_terms``) are summed, each
-    into one (n1, n2) sum per chunk.  The planes and window translations
-    are built once and only read by the calls.  The caller checks that
-    the translation grid has stride 1.
+    Each coefficient slice goes back through the inverse channel
+    profiles; the result is weighted by the translated window (the
+    conjugate transpose of the forward window matrix) and summed over
+    translations.  The caller checks that the translation grid has
+    stride 1.  The two window shapes of the row engine take two paths:
+
+    * A factored window phi = q * a(x1) * b(x2) (``_window_factors``).
+      Since sum g * phi = (sum a b g) * q for real a and b, q comes out
+      of the sum on the right and each channel takes one real weight.
+      Row i1 gets the inverse heads, one FFT along w2 and the
+      contraction over u2 with tail2(x2) * b(x2 - u2); the result is
+      column i1 of the channel's C(w1, x2, u1).  ``result`` then runs one
+      FFT along w1 on C, contracts over u1 with a(x1 - u1), applies
+      tail1, joins the channels and right-multiplies by q.  C holds
+      2 * nw1 * n2 * nu1 complex: 3.5 MB at n=48, 8.4 MB at n=64 and
+      67 MB at n=128.  Each row writes only its own column, so nothing
+      is summed per chunk and the result does not depend on the worker
+      count.
+    * Any other window.  Each slice goes through both inverse FFT axes,
+      and only the window's nonzero terms (``_window_terms``) are
+      summed, each into one (n1, n2) sum per chunk.
+
+    The profiles, planes and window translations are built once and only
+    read by the calls.
     """
 
     def __init__(self, plan: StqolctPlan):
         self._plan = plan
         self._planes = _phase_planes(plan.qolct._inverse_profiles)
+        self._factors = _window_factors(plan)
+        if self._factors is not None:
+            _, a, b = self._factors
+            profiles = plan.qolct._inverse_profiles
+            self._a_rows = _translated(a, plan.stride, plan.u1.n)
+            b_cols = _translated(b, plan.stride, plan.u2.n)
+            self._b_weights = [ch.tail2[:, None] * b_cols for ch in profiles]
+            self._columns = np.empty((2, plan.qolct.w1.n, plan.ax2.n, plan.u1.n),
+                                     dtype=complex)
+            return
         terms = _window_terms(plan)
         self._windows = _Translations(plan, np.stack([plane.conj() for _, _, plane in terms]))
         self._terms = [(out, inp) for out, inp, _ in terms]
@@ -644,6 +674,13 @@ class _Reconstruction:
 
     def __call__(self, k, i1, buffers):
         chans = _split_channels(buffers.block, out=(buffers.p, buffers.m))
+        if self._factors is not None:
+            for chan, (head, _, signs), weight, columns in zip(
+                    chans, self._planes, self._b_weights, self._columns):
+                chan *= head[:, :, None]
+                _dft(chan, 1, signs[1])
+                np.einsum("abu,bu->ab", chan, weight, out=columns[:, :, i1])
+            return
         for chan, (head, _, signs) in zip(chans, self._planes):
             chan *= head[:, :, None]
             _dft2(chan, signs)
@@ -654,12 +691,22 @@ class _Reconstruction:
 
     def result(self) -> GridSignal2D:
         plan = self._plan
+        # the translation average du / ||phi||^2
+        scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2
+        if self._factors is not None:
+            # tail1 and the first axis's sign are the same in both channels;
+            # the FFT runs on a copy, so that the result can be read again
+            ch = plan.qolct._inverse_profiles[0]
+            p, m = (ch.tail1[:, None] * np.einsum("abu,au->ab",
+                                                  _dft(columns.copy(), 0, ch.signs[0]),
+                                                  self._a_rows)
+                    for columns in self._columns)
+            return GridSignal2D(plan.ax1, plan.ax2,
+                                qmul(_join_channels(p, m), self._factors[0]) * scale)
         tails = [tail for _, tail, _ in self._planes]
         rec = np.zeros((2, plan.ax1.n, plan.ax2.n), dtype=complex)
         for (out, inp), sums in zip(self._terms, self._sums):
             rec[inp] += tails[out] * sums.sum(axis=0)
-        # the translation average du / ||phi||^2
-        scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2
         return GridSignal2D(plan.ax1, plan.ax2, _join_channels(rec[0], rec[1]) * scale)
 
 

@@ -65,6 +65,9 @@ _FIELD_CHECKS = ("boundedness", "energy", "isometry", "reconstruction", "donoho-
 #: the Moyal identity records, one pool task and one moyal_check call each
 _MOYAL_CHECKS = ("moyal-shared-window", "moyal-shared-signal", "moyal-general")
 
+#: the amplitude of the quaternion windows: psi, and one window of stqolct-routes
+_PSI_AMPLITUDE = quat(0.8, 0.3, 0.0, 0.1)
+
 #: every record name, by the task that emits it (a task label is a key, or
 #: a key and a parameter set name); a new record is its emission plus an
 #: entry here, and one in _FIELD_CHECKS if it reads the streamed pass
@@ -416,6 +419,12 @@ def _check_param_set(config, pset, selected):
     worst = max(_max_abs(fields["direct"], fields["via_qolct"]),
                 _max_abs(fields["direct"], fields["via_qft"]),
                 _max_abs(fields["via_qolct"], fields["via_qft"]))
+    # a quaternion amplitude (psi's) tells q from conj(q) in the factored
+    # engine; only against direct, as via_qft costs more than both together
+    window = gaussian_signal(oax1, oax2, config.window_alpha, amplitude=_PSI_AMPLITUDE)
+    plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
+    worst = max(worst, _max_abs(stqolct_forward(f, plan, "direct").data,
+                                stqolct_forward(f, plan, "via_qolct").data))
     results.append(_below("stqolct-routes", {"set": name, "n": config.oracle_n,
                                              "stride": 4}, worst, 0.0, 1e-9))
 
@@ -431,8 +440,8 @@ def _check_param_set(config, pset, selected):
         rec = _Reconstruction(plan) if identities and want("reconstruction") else None
         _stream(f, plan, *(r for r in (sums, rec) if r is not None))
         marginal = _marginal_map(sums)
-        # read the reconstruction now, so that its per-chunk sums are
-        # not held through the dense fields built below
+        # read the reconstruction now, so that the arrays it sums into
+        # are not held through the dense fields built below
         rebuilt = rec.result() if rec is not None else None
         del rec
         bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(abs(a1.b * a2.b)))
@@ -519,7 +528,7 @@ def _check_moyal(config, pset, label):
         g = GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **config.chirp).data,
                                         gaussian_signal(ax1, ax2, 0.75).data))
     if label != "moyal-shared-window":
-        psi = gaussian_signal(ax1, ax2, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
+        psi = gaussian_signal(ax1, ax2, 1.5, amplitude=_PSI_AMPLITUDE)
     res = moyal_check(f, g, phi, psi, qplan)
     if label == "moyal-general":
         return [InequalityResult(

@@ -376,9 +376,9 @@ def test_inversion_consistency_per_slice():
 # -- the row engine ---------------------------------------------------------
 
 @st.composite
-def rectangular_grids(draw):
+def rectangular_grids(draw, strides=(1, 2, 4)):
     # n1 != n2, both multiples of the stride with at least 2 translations
-    stride = draw(st.sampled_from([1, 2, 4]))
+    stride = draw(st.sampled_from(strides))
     sizes = [n for n in (4, 6, 8, 12, 16) if n % stride == 0 and n // stride >= 2]
     n1, n2 = draw(st.lists(st.sampled_from(sizes), min_size=2, max_size=2, unique=True))
     extent = draw(st.floats(2.0, 8.0))
@@ -425,6 +425,29 @@ def test_factored_row_engine_matches_direct(params1, params2, grid, seed):
     _check_fast_against_direct(plan, seed + 1)
 
 
+@settings(max_examples=30, deadline=None)
+@given(params1=sextets(), params2=sextets(), grid=rectangular_grids(strides=(1,)),
+       seed=st.integers(0, 2**32 - 2))
+def test_factored_reconstruction_matches_direct(params1, params2, grid, seed):
+    ax1, ax2, _ = grid
+    window = factored_window(ax1, ax2, seed)
+    plan = StqolctPlan.create(params1, params2, ax1, ax2, window)
+    assert _window_factors(plan) is not None
+    _check_reconstruction_against_direct(plan, seed + 1)
+
+
+def _check_reconstruction_against_direct(plan, seed):
+    # the dense and the streamed reconstruction, each against the direct
+    # inverse quadrature of the same field
+    f = random_signal(plan.ax1, plan.ax2, seed=seed)
+    field = stqolct_forward(f, plan)
+    direct = stqolct_reconstruct(field, mode="direct").data
+    rec = _Reconstruction(plan)
+    _stream(f, plan, rec)
+    for fast in (stqolct_reconstruct(field).data, rec.result().data):
+        assert np.max(np.abs(fast - direct)) < 1e-9
+
+
 @pytest.mark.parametrize("amplitude", [None, quat(0.8, 0.3, 0.0, 0.1)])
 def test_a_gaussian_factors_and_one_off_by_1e_9_at_a_sample_does_not(amplitude):
     ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
@@ -432,10 +455,12 @@ def test_a_gaussian_factors_and_one_off_by_1e_9_at_a_sample_does_not(amplitude):
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
     assert _window_factors(plan) is not None
     _check_fast_against_direct(plan, seed=420)
+    _check_reconstruction_against_direct(plan, seed=421)
     window.data[7, 3, 0] += 1e-9 * np.max(qnorm(window.data))
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
     assert _window_factors(plan) is None
     _check_fast_against_direct(plan, seed=420)
+    _check_reconstruction_against_direct(plan, seed=421)
 
 
 def _rel(a, b):

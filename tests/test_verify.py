@@ -180,7 +180,7 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("name, builds", [("energy", 0), ("reconstruction", 1)])
     def test_reconstruction_is_built_only_for_its_record(self, monkeypatch, name, builds):
-        # the reconstruction's per-chunk sums cost a second reducer in the pass
+        # the reconstruction costs a second reducer in the pass, and its arrays
         calls = self._count_calls(monkeypatch, "_Reconstruction")
         config = RunConfig.from_dict({**default_config_dict(), "n": 16})
         results = run_verification(config, only=[name])
