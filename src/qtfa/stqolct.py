@@ -57,25 +57,23 @@ per pass, any other window both axes per row.  The oracles run the same
 code for both shapes.
 
 Everything downstream consumes rows through one reducer protocol
-(``_pass``): a reducer is a callable ``reducer(k, i1, buffers)`` that adds
-row i1 (in ``buffers.block``) of chunk k into a partial sum of its own for
-that chunk, or writes it into a slot of its own for that row.  A pass
-cuts the u1 rows into ``_CHUNKS`` contiguous chunks, a count that does
-not depend on the number of workers, and feeds each chunk's rows in
-order.  A reducer adds its per-chunk sums in chunk order when its result
-is read, so every sum is the same to the last bit whether the chunks run
-on a pool or inline.  ``_pass`` alone decides which, from
-the calling thread: on the main thread the chunks run on a pool of
-``_max_workers()`` threads (``QTF_THREADS``); any other thread is
-already a worker of some pool (verify's, or a caller's), so there they
-run inline and pools never nest.  ``stqolct_forward`` copies the rows
-into the dense (nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64,
-stride 1).  The reducers (``_FieldSums`` for energy, sup modulus and the
-w-marginal, ``_Reconstruction`` for the channel-native inverse)
-accumulate over translations without a dense field, fed by the engine
-(``_stream``); ``stqolct_reconstruct`` feeds ``_Reconstruction`` the rows
-of a dense field (``_replay``).  A dense field's energy and w-marginal
-need no pass: each (w1, w2) node's coefficients are one contiguous run,
+(``_pass``): a reducer is a callable ``reducer(i1, buffers)`` that writes
+row i1 (in ``buffers.block``) into a slot of its own for that row and
+nothing else; a result that sums over rows adds the slots in row order
+when it is read.  No sum is split by worker, so every result is the same
+to the last bit whatever the number of workers.  ``_pass`` alone decides
+where the rows run, from the calling thread: on the main thread, on a
+pool of ``_max_workers()`` threads (``QTF_THREADS``) that take the next
+row from a shared counter; any other thread is already a worker of some
+pool (verify's, or a caller's), so there they run inline and pools never
+nest.  ``stqolct_forward`` copies the rows into the dense
+(nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1).  The
+reducers (``_FieldSums`` for energy, sup modulus and the w-marginal,
+``_Reconstruction`` for the channel-native inverse) accumulate over
+translations without a dense field, fed by the engine (``_stream``);
+``stqolct_reconstruct`` feeds ``_Reconstruction`` the rows of a dense
+field (``_replay``).  A dense field's energy and w-marginal need no
+pass: each (w1, w2) node's coefficients are one contiguous run,
 reduced in place (``_dense_marginal``).  ``moyal_check`` builds its two
 fields with ``stqolct_forward`` and takes their Gram sums as one matrix
 product.  Identity checks (energy, Moyal, reconstruction) integrate over
@@ -86,7 +84,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -116,10 +113,6 @@ __all__ = [
 
 _ROUTES = ("direct", "via_qolct", "via_qft")
 
-#: the u1 rows of a pass are cut into this many contiguous chunks whatever
-#: the worker count, so sums added in chunk order do not depend on it
-_CHUNKS = 8
-
 #: a window is taken as q * a(x1) * b(x2) when that product is within this
 #: many ulps of max |phi| of every sample (``_window_factors``)
 _FACTOR_ULPS = 8
@@ -143,12 +136,6 @@ def _max_workers():
     if hasattr(os, "sched_getaffinity"):
         return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
-
-
-def _chunks(n_rows):
-    """The fixed contiguous u1 chunks of a pass; empty ones are skipped."""
-    bounds = [n_rows * k // _CHUNKS for k in range(_CHUNKS + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _u_first(n, stride):
@@ -322,7 +309,7 @@ class _Translations:
 
 
 class _Buffers:
-    """One worker's scratch for a row pass, reused across its chunks.
+    """One worker's scratch for a row pass, reused across the rows it takes.
 
     ``block`` holds the current (nw1, nw2, nu2, 4) row.  The row engine
     also uses the complex ``p``, ``m`` and ``tmp``; once the block is
@@ -413,38 +400,34 @@ def _pass(shape, row, *reducers):
     """Feed every u1 row of a (nw1, nw2, nu1, nu2) field to the reducers.
 
     ``row(i1, buffers)`` writes row i1 into ``buffers.block``; each
-    reducer is then called as ``reducer(k, i1, buffers)``, where k is the
-    index of i1's chunk in ``_chunks``.  Each chunk feeds its rows in
-    order.  On the main thread the chunks run on a pool of
-    ``_max_workers()`` threads; on any other thread, such as a task of
-    verify's pool or of a caller's, they run inline, so pools never nest.
-    A chunk runs on one worker at a time, so a reducer's sum for chunk k
-    has one writer.  The calling thread allocates one ``_Buffers`` per
-    worker; a worker takes a set from a queue for each chunk and puts it
-    back.  (A buffer that a worker thread allocates and frees stays
-    behind in that thread's malloc arena.)
+    reducer is then called as ``reducer(i1, buffers)``.  On the main
+    thread one task per worker runs on a pool of ``_max_workers()``
+    threads; on any other thread, such as a task of verify's pool or of
+    a caller's, one task runs inline, so pools never nest.  Each task
+    holds one ``_Buffers``, allocated by the calling thread (a buffer
+    that a worker thread allocates and frees stays behind in that
+    thread's malloc arena), and takes the next row from a shared counter
+    until none is left.
     """
-    chunks = _chunks(shape[2])
+    rows, lock = iter(range(shape[2])), threading.Lock()
     workers = 1
     if threading.current_thread() is threading.main_thread():
-        workers = min(_max_workers(), len(chunks))
+        workers = min(_max_workers(), shape[2])
+
+    def run(buffers):
+        while True:
+            with lock:
+                i1 = next(rows, None)
+            if i1 is None:
+                return
+            row(i1, buffers)
+            for reducer in reducers:
+                reducer(i1, buffers)
+
+    buffers = [_Buffers(shape[:2] + shape[3:]) for _ in range(workers)]
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
-        free = queue.SimpleQueue()
-        for _ in range(workers):
-            free.put(_Buffers(shape[:2] + shape[3:]))
-
-        def run(k):
-            buffers = free.get()
-            try:
-                for i1 in chunks[k]:
-                    row(i1, buffers)
-                    for reducer in reducers:
-                        reducer(k, i1, buffers)
-            finally:
-                free.put(buffers)
-
         # consuming the results re-raises a worker's exception here
-        list((map if executor is None else executor.map)(run, range(len(chunks))))
+        list((map if executor is None else executor.map)(run, buffers))
 
 
 def _field_shape(plan: StqolctPlan):
@@ -498,7 +481,7 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
     qplan = plan.qolct
     out = np.empty(_field_shape(plan) + (4,))
     if route == "via_qolct":
-        def keep(k, i1, buffers):
+        def keep(i1, buffers):
             out[:, :, i1] = buffers.block
 
         _stream(f, plan, keep)
@@ -522,10 +505,11 @@ class _FieldSums:
     ``energy`` is the quadrature sum of |S|^2, ``sup`` the largest |S|,
     ``w_marginal`` the u-integrated |S|^2 on the (w1, w2) grid (cells of
     area ``w_cell``), and ``u_energy`` the w-summed |S|^2 per translation
-    (no cell weights).  Only the marginal is summed over rows, so only it
-    keeps one sum per chunk; the per-row sums and peaks go to disjoint
-    rows.  A dense field needs no pass for its energy and marginal
-    (``_dense_marginal``).
+    (no cell weights).  Each row writes only its own slots: its
+    u-summed |S|^2 on the (w1, w2) grid (nu1 * nw1 * nw2 floats: 2 MB at
+    n=64 and 16.8 MB at n=128, stride 1), its row of ``u_energy`` and its
+    peak; ``w_marginal`` adds the marginal slots in row order.  A dense
+    field needs no pass for its energy and marginal (``_dense_marginal``).
     """
 
     def __init__(self, plan: StqolctPlan):
@@ -533,13 +517,13 @@ class _FieldSums:
         self.w_cell = w1.step * w2.step
         self._volume = self.w_cell * u1.step * u2.step
         self._du = u1.step * u2.step
-        self._marginals = np.zeros((_CHUNKS, w1.n, w2.n))
+        self._marginals = np.zeros((u1.n, w1.n, w2.n))
         self.u_energy = np.zeros((u1.n, u2.n))
         self._peaks = np.zeros(u1.n)
 
-    def __call__(self, k, i1, buffers):
+    def __call__(self, i1, buffers):
         sq = np.einsum("abuc,abuc->abu", buffers.block, buffers.block, out=buffers.sq)
-        self._marginals[k] += sq.sum(axis=2)
+        sq.sum(axis=2, out=self._marginals[i1])
         self.u_energy[i1] = sq.sum(axis=(0, 1))
         self._peaks[i1] = sq.max()
 
@@ -643,12 +627,12 @@ class _Reconstruction:
       FFT along w1 on C, contracts over u1 with a(x1 - u1), applies
       tail1, joins the channels and right-multiplies by q.  C holds
       2 * nw1 * n2 * nu1 complex: 3.5 MB at n=48, 8.4 MB at n=64 and
-      67 MB at n=128.  Each row writes only its own column, so nothing
-      is summed per chunk and the result does not depend on the worker
-      count.
-    * Any other window.  Each slice goes through both inverse FFT axes,
-      and only the window's nonzero terms (``_window_terms``) are
-      summed, each into one (n1, n2) sum per chunk.
+      67 MB at n=128.  Column i1 is row i1's slot.
+    * Any other window.  Each slice goes through both inverse FFT axes;
+      each of the window's nonzero terms (``_window_terms``) is summed
+      over u2, weighted by its tail and added into row i1's slot, one
+      (n1, n2) plane per channel (2 * nu1 * n1 * n2 complex: 67 MB at
+      n=128, stride 1).  ``result`` adds the slots in row order.
 
     The profiles, planes and window translations are built once and only
     read by the calls.
@@ -670,9 +654,9 @@ class _Reconstruction:
         terms = _window_terms(plan)
         self._windows = _Translations(plan, np.stack([plane.conj() for _, _, plane in terms]))
         self._terms = [(out, inp) for out, inp, _ in terms]
-        self._sums = np.zeros((len(terms), _CHUNKS, plan.ax1.n, plan.ax2.n), dtype=complex)
+        self._slots = np.empty((plan.u1.n, 2, plan.ax1.n, plan.ax2.n), dtype=complex)
 
-    def __call__(self, k, i1, buffers):
+    def __call__(self, i1, buffers):
         chans = _split_channels(buffers.block, out=(buffers.p, buffers.m))
         if self._factors is not None:
             for chan, (head, _, signs), weight, columns in zip(
@@ -685,9 +669,12 @@ class _Reconstruction:
             chan *= head[:, :, None]
             _dft2(chan, signs)
         w = self._windows.row(i1)
-        for t, (out, _) in enumerate(self._terms):
-            # term (out, in) sums chan_out * conj(W) over u
-            self._sums[t, k] += np.einsum("klu,klu->kl", chans[out], w[t])
+        slot = self._slots[i1]
+        slot.fill(0)
+        for t, (out, inp) in enumerate(self._terms):
+            # term (out, in) adds tail_out * sum over u of chan_out * conj(W)
+            # to channel in
+            slot[inp] += self._planes[out][1] * np.einsum("klu,klu->kl", chans[out], w[t])
 
     def result(self) -> GridSignal2D:
         plan = self._plan
@@ -703,11 +690,8 @@ class _Reconstruction:
                     for columns in self._columns)
             return GridSignal2D(plan.ax1, plan.ax2,
                                 qmul(_join_channels(p, m), self._factors[0]) * scale)
-        tails = [tail for _, tail, _ in self._planes]
-        rec = np.zeros((2, plan.ax1.n, plan.ax2.n), dtype=complex)
-        for (out, inp), sums in zip(self._terms, self._sums):
-            rec[inp] += tails[out] * sums.sum(axis=0)
-        return GridSignal2D(plan.ax1, plan.ax2, _join_channels(rec[0], rec[1]) * scale)
+        p, m = self._slots.sum(axis=0)
+        return GridSignal2D(plan.ax1, plan.ax2, _join_channels(p, m) * scale)
 
 
 def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:

@@ -196,13 +196,13 @@ class TestVerify:
         report = tmp_path / "report.jsonl"
         assert run("verify", "--n", "16", "--out", report) == 0
         verdict = capsys.readouterr().out.splitlines()[-1]
-        assert verdict == f"113 checks, 0 gated failures (97 gated) -> report {report}"
+        assert verdict == f"116 checks, 0 gated failures (100 gated) -> report {report}"
         names = [json.loads(line)["name"] for line in report.read_text().splitlines()]
-        assert len(names) == 113
-        assert sum(name not in UNGATED_CHECKS for name in names) == 97
+        assert len(names) == 116
+        assert sum(name not in UNGATED_CHECKS for name in names) == 100
         # the form the benchmark's verify-corpus workload parses
         parsed = re.search(r"(\d+) checks, (\d+) gated failures", verdict)
-        assert parsed.groups() == ("113", "0")
+        assert parsed.groups() == ("116", "0")
 
     def test_only_filter(self, tmp_path):
         report = tmp_path / "report.jsonl"

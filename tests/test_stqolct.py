@@ -1,5 +1,7 @@
 import os
+import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,8 +16,8 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
                   translate_window)
 from qtfa.errors import ParameterError, ShapeError
-from qtfa.stqolct import (_CHUNKS, _chunks, _FieldSums, _max_workers, _Reconstruction,
-                          _replay, _stream, _window_factors, _window_terms)
+from qtfa.stqolct import (_FieldSums, _max_workers, _pass, _Reconstruction, _replay,
+                          _stream, _window_factors, _window_terms)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
@@ -510,7 +512,7 @@ def test_streamed_reducers_match_dense_reductions(params):
         assert _rel(res.lhs, lhs) < 1e-12
 
 
-# -- chunked row passes -----------------------------------------------------
+# -- row passes ------------------------------------------------------------
 
 def _pass_outputs(f, plan):
     """Every row-pass result for one signal and plan, as a dict of arrays."""
@@ -530,32 +532,22 @@ def _pass_outputs(f, plan):
     return out
 
 
-@pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
-def test_row_passes_do_not_depend_on_the_worker_count(monkeypatch, n1, n2, stride):
-    # 12 rows do not divide into the chunks; 4 rows leave chunks empty
-    assert n1 // stride % _CHUNKS or n1 // stride < _CHUNKS
-    ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
-    plan = make_plan(ax1, ax2, stride=stride)
-    assert _window_factors(plan) is not None
-    _check_threads_do_not_change_passes(monkeypatch, plan, seed=410)
-
-
-@pytest.mark.parametrize("window", ["quaternion-gaussian", "rank-one", "random"])
+@pytest.mark.parametrize("window", ["real-gaussian", "quaternion-gaussian", "rank-one",
+                                    "random"])
 @pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
 def test_each_engine_is_bit_identical_at_1_2_and_3_threads(monkeypatch, window, n1, n2,
                                                            stride):
+    # stride 1 also runs both reconstructions; stride 4 leaves 4 rows for
+    # up to 3 workers
     ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
-    phi = {"quaternion-gaussian": lambda: gaussian_signal(ax1, ax2, 1.5,
+    phi = {"real-gaussian": lambda: gaussian_signal(ax1, ax2, 2.0),
+           "quaternion-gaussian": lambda: gaussian_signal(ax1, ax2, 1.5,
                                                           amplitude=quat(0.8, 0.3, 0.0, 0.1)),
            "rank-one": lambda: factored_window(ax1, ax2, seed=416),
            "random": lambda: random_signal(ax1, ax2, seed=416)}[window]()
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, phi, stride=stride)
     assert (_window_factors(plan) is None) == (window == "random")
-    _check_threads_do_not_change_passes(monkeypatch, plan, seed=417)
-
-
-def _check_threads_do_not_change_passes(monkeypatch, plan, seed):
-    f = random_signal(plan.ax1, plan.ax2, seed=seed)
+    f = random_signal(plan.ax1, plan.ax2, seed=417)
     runs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("QTF_THREADS", threads)
@@ -569,26 +561,55 @@ def _check_threads_do_not_change_passes(monkeypatch, plan, seed):
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
 def test_a_pass_feeds_each_row_once_in_chunk_order(monkeypatch, threads, n1, n2, stride):
-    # 12 rows do not divide into the chunks; 4 rows leave chunks empty
+    # every row comes once, with the dense field's values; the workers
+    # take rows from one counter, so each worker's rows come in order
     monkeypatch.setenv("QTF_THREADS", threads)
     ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
     plan = make_plan(ax1, ax2, stride=stride)
     f = random_signal(ax1, ax2, seed=415)
     field = stqolct_forward(f, plan)
-    chunk_of = {i1: k for k, rows in enumerate(_chunks(plan.u1.n)) for i1 in rows}
     for feed in (lambda reducer: _stream(f, plan, reducer),
                  lambda reducer: _replay(field, reducer)):
         calls = []
 
-        def record(k, i1, buffers):
-            calls.append((k, i1, np.array_equal(buffers.block, field.data[:, :, i1])))
+        def record(i1, buffers):
+            calls.append((threading.get_ident(), i1,
+                          np.array_equal(buffers.block, field.data[:, :, i1])))
 
         feed(record)
         assert sorted(i1 for _, i1, _ in calls) == list(range(plan.u1.n))
-        assert all(k == chunk_of[i1] and row_ok for k, i1, row_ok in calls)
-        for k in set(chunk_of.values()):
-            rows = [i1 for kk, i1, _ in calls if kk == k]
+        assert all(row_ok for _, _, row_ok in calls)
+        for worker in {ident for ident, _, _ in calls}:
+            rows = [i1 for ident, i1, _ in calls if ident == worker]
             assert rows == sorted(rows)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_reducer_raising_on_one_row_makes_the_pass_raise(monkeypatch, threads):
+    monkeypatch.setenv("QTF_THREADS", threads)
+    ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
+    plan = make_plan(ax1, ax2)
+
+    def faulty(i1, buffers):
+        if i1 == 7:
+            raise ArithmeticError(f"row {i1}")
+
+    with pytest.raises(ArithmeticError, match="row 7"):
+        _stream(random_signal(ax1, ax2, seed=418), plan, faulty)
+
+
+def test_workers_take_each_row_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval, so the workers
+    # race for the shared row counter; a lost update repeats or skips a row
+    monkeypatch.setenv("QTF_THREADS", "5")
+    rows = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _pass((1, 1, 2000, 1), lambda i1, buffers: None, lambda i1, buffers: rows.append(i1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert Counter(rows) == Counter(range(2000))
 
 
 class TestRowPool:

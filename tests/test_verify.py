@@ -104,13 +104,14 @@ class TestRunVerification:
                 + ["qft-plancherel", "qft-roundtrip"] * 3
                 + ["qft-plancherel", "qft-oracle"] + ["hardy-qft"] * 4 + ["hardy-chirp"])
         per_set = (["qolct-plancherel", "qolct-roundtrip"] * 3
-                   + ["qolct-oracle", "stqolct-routes", "boundedness", "energy",
-                      "isometry", "reconstruction"]
+                   + ["qolct-oracle", "stqolct-routes", "reconstruction-exact",
+                      "reconstruction-exact", "boundedness", "energy", "isometry",
+                      "reconstruction"]
                    + ["donoho-stark"] * 3
                    + ["donoho-stark-support", "pitt", "pitt-equality", "pitt", "pitt",
                       "pitt", "log-up-literal", "log-up-derivative", "hardy-field",
                       "hardy-field", "moyal-shared-window", "moyal-shared-signal",
-                      "moyal-general", "beurling-value", "beurling-monotone"])
+                      "moyal-general", "beurling-value"])
         config = RunConfig.from_dict({**default_config_dict(), "n": 16})
         results = run_verification(config)
         assert [r.name for r in results] == head + per_set * 3
