@@ -17,8 +17,8 @@ from .qft import QftPlan, qft_forward
 from .qolct import OlctParams, QolctPlan, qolct_forward
 from .quaternion import quat
 from .stqolct import StqolctPlan, stqolct_forward
-from .verify import (UNGATED_CHECKS, RunConfig, default_config_dict, format_report_table,
-                     gated_failures, load_report, run_verification, write_report)
+from .verify import (UNGATED_CHECKS, RunConfig, format_report_table, gated_failures,
+                     load_report, run_verification, write_report)
 
 
 def _build_parser():
@@ -70,7 +70,6 @@ def _build_parser():
                      help="comma-separated check names to run")
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--extent", type=float, default=None)
-    ver.add_argument("--stride", type=int, default=None)
     ver.add_argument("--seed", type=int, default=None)
     ver.set_defaults(func=_cmd_verify)
 
@@ -161,7 +160,7 @@ def _cmd_transform(args):
 
 
 def _cmd_verify(args):
-    raw = default_config_dict()
+    raw = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -173,7 +172,7 @@ def _cmd_verify(args):
         if not isinstance(loaded, dict):
             raise ParameterError("config must be a JSON object")
         raw.update(loaded)
-    for key in ("n", "extent", "stride", "seed"):
+    for key in ("n", "extent", "seed"):
         value = getattr(args, key)
         if value is not None:
             raw[key] = value

@@ -172,6 +172,11 @@ class StqolctPlan:
             raise ParameterError(
                 f"stride {stride} must divide the sample counts ({ax1.n}, {ax2.n})"
             )
+        if min(ax1.n, ax2.n) < 2 * stride:
+            raise ParameterError(
+                f"stride {stride} leaves fewer than 2 translations on an axis of "
+                f"n = {min(ax1.n, ax2.n)} samples"
+            )
         qplan = QolctPlan.for_axes(params1, params2, ax1, ax2)
         return cls(qplan, window.copy(), stride, _u_axis(ax1, stride), _u_axis(ax2, stride))
 

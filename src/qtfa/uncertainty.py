@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
-from .specialfn import digamma, gamma
 from .stqolct import (StqolctField, StqolctPlan, _dense_marginal, _FieldSums, modified_signal,
                       stqolct_forward)
 
@@ -54,6 +53,9 @@ __all__ = [
 
 # relative slack for float comparisons of cumulative energies
 _ENERGY_SLACK = 1e-12
+
+# the Euler-Mascheroni constant, for log_up_constant's closed form
+_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ def pitt_constant(alpha: float) -> float:
     """(4*pi^2 / 2^alpha) * [Gamma((2-alpha)/4) / Gamma((2+alpha)/4)]^2."""
     if not 0.0 <= alpha < 2.0:
         raise ParameterError(f"alpha must lie in [0, 2), got {alpha}")
-    ratio = gamma((2.0 - alpha) / 4.0) / gamma((2.0 + alpha) / 4.0)
+    ratio = math.gamma((2.0 - alpha) / 4.0) / math.gamma((2.0 + alpha) / 4.0)
     return 4.0 * math.pi**2 / 2.0**alpha * ratio * ratio
 
 
@@ -269,8 +271,15 @@ def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float,
 
 
 def log_up_constant() -> float:
-    """ln 2 + digamma(1/2), the additive constant of the logarithmic bound."""
-    return math.log(2.0) + digamma(0.5)
+    """ln 2 + psi(1/2), the additive constant of the logarithmic bound, in closed form.
+
+    psi is the digamma function.  Its duplication formula
+    psi(2x) = (psi(x) + psi(x + 1/2)) / 2 + ln 2 at x = 1/2, with
+    psi(1) = -g (g the Euler-Mascheroni constant), gives
+    psi(1/2) = -g - 2 ln 2, so the constant is -g - ln 2 (W. Beckner,
+    Proc. AMS 123 (1995) 1897-1905).
+    """
+    return -_EULER_GAMMA - math.log(2.0)
 
 
 def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None = None,

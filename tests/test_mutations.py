@@ -1,13 +1,14 @@
 """Mutation audit: each defect below must fail at least one gated record.
 
-Each mutant is monkeypatched into ``qtfa.stqolct`` and the parameter-set
+Each mutant is monkeypatched into the package and the parameter-set
 records of the default corpus are run at n=16.  The records that caught
 each mutant are printed (``pytest -s``).
 """
 
+import numpy as np
 import pytest
 
-from qtfa import stqolct
+from qtfa import qft, qolct, stqolct
 from qtfa.quaternion import qconj
 from qtfa.verify import _CHECKS, RunConfig, default_config_dict, gated_failures, run_verification
 
@@ -48,10 +49,71 @@ def _swapped_off_diagonal_planes(monkeypatch):
     monkeypatch.setattr(stqolct, "_window_terms", mutant)
 
 
+def _doubled_join(monkeypatch):
+    # the channel join drops its 1/2: every output comes out doubled
+    join = qft._join_channels
+
+    def mutant(p, m, out=None):
+        out = join(p, m, out)
+        out *= 2.0
+        return out
+
+    # stqolct holds its own reference to the join
+    monkeypatch.setattr(qft, "_join_channels", mutant)
+    monkeypatch.setattr(stqolct, "_join_channels", mutant)
+
+
+def _flipped_chirp_offset(monkeypatch):
+    # the fast engine's input chirp takes -p for p
+    monkeypatch.setattr(qolct, "_chirp_angle",
+                        lambda params, x: (params.a * x * x / 2.0 - x * params.p) / params.b)
+
+
+def _factored_engine_folds_q(monkeypatch):
+    # the factored engine folds q into the signal instead of conj(q)
+    engine = stqolct._factored_engine
+    monkeypatch.setattr(stqolct, "_factored_engine",
+                        lambda f, plan, q, a, b: engine(f, plan, qconj(q), a, b))
+
+
+def _translations_off_by_one(monkeypatch):
+    # every translated 1-D profile is shifted by one more sample
+    translated = stqolct._translated
+
+    def mutant(profile, stride, count):
+        exact = translated(profile, stride, count)
+        shifted = np.zeros_like(exact)
+        shifted[1:] = exact[:-1]
+        return shifted
+
+    monkeypatch.setattr(stqolct, "_translated", mutant)
+
+
+def _scaled_rows(monkeypatch):
+    # the row engine's output is scaled by 1 + 1e-6
+    engine = stqolct._engine
+
+    def mutant(f, plan):
+        row = engine(f, plan)
+
+        def scaled(i1, buffers):
+            row(i1, buffers)
+            buffers.block *= 1.0 + 1e-6
+
+        return scaled
+
+    monkeypatch.setattr(stqolct, "_engine", mutant)
+
+
 MUTANTS = {
     "conj-q-reconstruction": _conj_q_reconstruction,
     "reconstruction-skips-last-row": _reconstruction_skips_the_last_row,
     "swapped-off-diagonal-planes": _swapped_off_diagonal_planes,
+    "doubled-join": _doubled_join,
+    "flipped-chirp-offset": _flipped_chirp_offset,
+    "factored-engine-folds-q": _factored_engine_folds_q,
+    "translations-off-by-one": _translations_off_by_one,
+    "scaled-rows": _scaled_rows,
 }
 
 

@@ -82,6 +82,11 @@ class TestPlan:
         with pytest.raises(ParameterError):
             make_plan(*small_axes, stride=3)
 
+    @pytest.mark.parametrize("n1, n2", [(16, 16), (32, 16), (16, 32)])
+    def test_a_stride_leaving_one_translation_names_stride_and_n(self, n1, n2):
+        with pytest.raises(ParameterError, match="stride 16 .* n = 16 samples"):
+            make_plan(Axis.centered(n1, 8.0), Axis.centered(n2, 8.0), stride=16)
+
     def test_zero_window_rejected(self, small_axes):
         ax1, ax2 = small_axes
         window = GridSignal2D(ax1, ax2, np.zeros((16, 16, 4)))
