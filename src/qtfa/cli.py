@@ -69,7 +69,6 @@ def _build_parser():
     ver.add_argument("--only", default=None,
                      help="comma-separated check names to run")
     ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--extent", type=float, default=None)
     ver.add_argument("--seed", type=int, default=None)
     ver.set_defaults(func=_cmd_verify)
 
@@ -172,7 +171,7 @@ def _cmd_verify(args):
         if not isinstance(loaded, dict):
             raise ParameterError("config must be a JSON object")
         raw.update(loaded)
-    for key in ("n", "extent", "seed"):
+    for key in ("n", "seed"):
         value = getattr(args, key)
         if value is not None:
             raw[key] = value

@@ -76,8 +76,9 @@ field (``_replay``).  A dense field's energy and w-marginal need no
 pass: each (w1, w2) node's coefficients are one contiguous run,
 reduced in place (``_dense_marginal``).  ``moyal_check`` builds its two
 fields with ``stqolct_forward`` and takes their Gram sums as one matrix
-product.  Identity checks (energy, Moyal, reconstruction) integrate over
-all translations and therefore require stride 1.
+product, and its grid-exact right side from the window cover
+(``_window_cover``).  Identity checks (energy, Moyal, reconstruction)
+integrate over all translations and therefore require stride 1.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
-from .grid import Axis, GridSignal2D, inner_product, l2_norm, translate_window
+from .grid import Axis, GridSignal2D, l2_norm, translate_window
 from .qft import (QftPlan, _check_mode, _check_signal_axes, _dft, _dft2, _join_channels,
                   _phase_planes, _split_channels, qft_forward)
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
@@ -286,6 +287,22 @@ def _translated(profile, stride, count):
     n = profile.shape[0]
     src = np.arange(n)[:, None] - (_u_first(n, stride) + stride * np.arange(count))
     return np.where((src >= 0) & (src < n), profile[src % n], 0.0)
+
+
+def _window_cover(plan, density):
+    """Sum over the stride-1 translations u of density(x - u) du, grid-exact.
+
+    ``density`` holds (..., n1, n2) planes on the spatial grid, zero
+    outside it as the translated windows are.  Translation i shifts by
+    i - n // 2 samples, so sample k sums the density over the samples s
+    with n // 2 - n < s - k <= n // 2: one 0/1 band matrix on each side
+    of every plane.
+    """
+    def band(n):
+        d = np.arange(n) - np.arange(n)[:, None]  # d[k, s] = s - k
+        return ((d > n // 2 - n) & (d <= n // 2)).astype(float)
+
+    return band(plan.ax1.n) @ density @ band(plan.ax2.n).T * (plan.u1.step * plan.u2.step)
 
 
 class _Translations:
@@ -575,16 +592,15 @@ class MoyalResult:
     """Both sides of the windowed-transform inner product identity.
 
     ``lhs`` is the 4D quadrature inner product of the two coefficient
-    fields.  The two products of signal and window inner products do not
-    commute, so both orderings are reported; their scalar parts coincide
-    with each other but, for general quaternion inputs, not necessarily
-    with the scalar part of lhs.  Matching-pair specializations
-    (phi == psi and/or f == g) are the asserted cases.
+    fields, and ``rhs`` is R = sum f(x) C(x) conj(g(x)) dA with the
+    window cover C(x) = sum_u conj(phi(x - u)) psi(x - u) du.  On the
+    grid the 1 and i components of lhs equal those of R for any
+    quaternion f, g, phi and psi; the j and k components do not follow
+    from the identity (``moyal_check``).
     """
 
     lhs: np.ndarray
     rhs: np.ndarray
-    rhs_reversed: np.ndarray
 
 
 def _conj_product_sum(gram):
@@ -601,17 +617,23 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
 
     The left-hand side is the quadrature inner product sum S_f^phi
     conj(S_g^psi) dV of the two stride-1 fields, from their 4x4
-    component sums taken as one matrix product.
+    component sums taken as one matrix product.  Summed over w2, the
+    right kernels of a translation give a delta on the grid; summed over
+    w1, the left i-complex kernels do the same for the span{1, i} part
+    of the product between them, but not for its j and k parts.  So the
+    1 and i components of lhs are those of R = sum f C conj(g) dA, where
+    C(x) = sum_u conj(phi(x - u)) psi(x - u) du is one band-matrix sum
+    per component (``_window_cover``).
     """
-    fields = [stqolct_forward(sig, StqolctPlan.create(qplan.params1, qplan.params2,
-                                                      qplan.ax1, qplan.ax2, win, stride=1))
-              for sig, win in ((f, phi), (g, psi))]
+    plans = [StqolctPlan.create(qplan.params1, qplan.params2, qplan.ax1, qplan.ax2, win,
+                                stride=1) for win in (phi, psi)]
+    fields = [stqolct_forward(sig, plan) for sig, plan in zip((f, g), plans)]
     # both fields are contiguous, so the reshapes are views, not copies
     gram = fields[0].data.reshape(-1, 4).T @ fields[1].data.reshape(-1, 4)
-    ip_fg = inner_product(f, g)
-    ip_pp = inner_product(phi, psi)
-    return MoyalResult(lhs=_conj_product_sum(gram) * fields[0].cell_volume,
-                       rhs=qmul(ip_fg, ip_pp), rhs_reversed=qmul(ip_pp, ip_fg))
+    density = np.moveaxis(qmul(qconj(phi.data), psi.data), -1, 0)
+    cover = np.moveaxis(_window_cover(plans[0], density), 0, -1)
+    rhs = np.sum(qmul(qmul(f.data, cover), qconj(g.data)), axis=(0, 1)) * f.cell_area
+    return MoyalResult(lhs=_conj_product_sum(gram) * fields[0].cell_volume, rhs=rhs)
 
 
 class _Reconstruction:

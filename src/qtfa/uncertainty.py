@@ -153,6 +153,9 @@ def _as_energy_map(obj) -> EnergyMap:
 def epsilon_concentration(obj, cells: CellSet) -> float:
     """Smallest eps for which the energy outside ``cells`` is eps^2 of the total."""
     emap = _as_energy_map(obj)
+    if emap.domain != cells.domain:
+        raise ShapeError(f"cell set on the {cells.domain} grid, energy on the "
+                         f"{emap.domain} grid")
     if emap.values.shape != cells.shape:
         raise ShapeError(f"cell set shape {cells.shape} does not match grid "
                          f"{emap.values.shape}")

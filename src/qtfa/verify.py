@@ -1,11 +1,13 @@
-"""Verification corpus: configured checks over signals, transforms, and bounds.
+"""Verification corpus: fixed checks over signals, transforms, and bounds.
 
 ``run_verification`` builds a corpus of test signals, windows, and
-parameter sets from a RunConfig and returns InequalityResult records
-(one JSON object per line in report files).  All margins are oriented so
-that nonnegative (within the recorded tolerance) means pass.  A handful
-of records are diagnostics that never gate the exit status; everything
-else must pass.
+parameter sets and returns InequalityResult records (one JSON object per
+line in report files).  A RunConfig sets only the grid size ``n``, the
+``seed`` of the random signals and the ``param_sets`` under
+certification; the rest of the corpus is the module constants below.
+All margins are oriented so that nonnegative (within the recorded
+tolerance) means pass.  A handful of records are diagnostics that never
+gate the exit status; everything else must pass.
 
 A selection (``only``) picks the records that are reported: a task that
 emits a selected name computes all its records, in order, and one name
@@ -40,7 +42,7 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .stqolct import (StqolctPlan, _FieldSums, _max_workers, _Reconstruction, _stream,
-                      modified_signal, moyal_check, stqolct_forward)
+                      _window_cover, modified_signal, moyal_check, stqolct_forward)
 from .uncertainty import (InequalityResult, _marginal_map, beurling_integral,
                           donoho_stark_check, hardy_decay_fit, log_up_check,
                           pitt_check, pitt_constant)
@@ -54,7 +56,6 @@ UNGATED_CHECKS = frozenset({
     "hardy-chirp",
     "hardy-field",
     "beurling-value",
-    "moyal-general",
 })
 
 #: records of the streamed per-set field pass
@@ -85,16 +86,25 @@ _CHECKS = {
 
 _KNOWN_CHECKS = frozenset(name for names in _CHECKS.values() for name in names)
 
-_CHIRP_KEYS = frozenset({"rate1", "rate2", "freq1", "freq2"})
+#: the corpus: every grid's half-width, the field window's Gaussian rate,
+#: the signals' Gaussian rates and chirp, and each check's levels
+_EXTENT = 8.0
+_WINDOW_ALPHA = 2.0
+_GAUSSIAN_ALPHAS = (0.5, 1.0, 2.0)
+_CHIRP = {"rate1": 0.25, "rate2": -0.2, "freq1": 1.0, "freq2": -0.5}
+_EPS = (0.0, 0.1, 0.25)
+_PITT_ALPHAS = (0.0, 0.5, 1.0, 1.5)
+_HARDY_ALPHAS = (0.25, 0.5, 1.0, 2.0)
+_HARDY_RADIUS = 3.0
+_HARDY_N = 128
+#: the oracle grid, a multiple of 4: stqolct-routes takes stride 4 on it
+_ORACLE_N = 16
+_ORACLE_TRIALS = 5
 
 
 def default_config_dict():
     return {
         "n": 64,
-        "extent": 8.0,
-        "window_alpha": 2.0,
-        "gaussian_alphas": [0.5, 1.0, 2.0],
-        "chirp": {"rate1": 0.25, "rate2": -0.2, "freq1": 1.0, "freq2": -0.5},
         "param_sets": [
             {"name": "fourier", "A1": [0, 1, -1, 0, 0, 0], "A2": [0, 1, -1, 0, 0, 0]},
             {"name": "offset-mixed", "A1": [0.6, 0.5, -0.8, 1.0, 0.3, -0.2],
@@ -102,13 +112,6 @@ def default_config_dict():
             {"name": "negative-b", "A1": [0, -1, 1, 0, 0.2, -0.1],
              "A2": [0, -1, 1, 0, 0.0, 0.3]},
         ],
-        "eps": [0.0, 0.1, 0.25],
-        "pitt_alphas": [0.0, 0.5, 1.0, 1.5],
-        "hardy_alphas": [0.25, 0.5, 1.0, 2.0],
-        "hardy_radius": 3.0,
-        "hardy_n": 128,
-        "oracle_n": 16,
-        "oracle_trials": 5,
         "seed": 0,
     }
 
@@ -116,18 +119,7 @@ def default_config_dict():
 @dataclass
 class RunConfig:
     n: int
-    extent: float
-    window_alpha: float
-    gaussian_alphas: list
-    chirp: dict
     param_sets: list  # [(name, OlctParams, OlctParams)]
-    eps: list
-    pitt_alphas: list
-    hardy_alphas: list
-    hardy_radius: float
-    hardy_n: int
-    oracle_n: int
-    oracle_trials: int
     seed: int
 
     @classmethod
@@ -144,58 +136,21 @@ class RunConfig:
             if not isinstance(entry, dict) or "A1" not in entry or "A2" not in entry:
                 raise ParameterError(f"param set needs 'A1' and 'A2' sextets: {entry}")
             name = str(entry.get("name", f"set{len(param_sets)}"))
-            a1 = OlctParams(*_numbers(f"{name} A1", entry["A1"], count=6))
-            a2 = OlctParams(*_numbers(f"{name} A2", entry["A2"], count=6))
+            a1 = OlctParams(*_sextet(f"{name} A1", entry["A1"]))
+            a2 = OlctParams(*_sextet(f"{name} A2", entry["A2"]))
             param_sets.append((name, a1, a2))
         if not param_sets:
             raise ParameterError("config needs at least one parameter set")
-        chirp = merged["chirp"]
-        if not isinstance(chirp, dict) or not set(chirp) <= _CHIRP_KEYS:
-            raise ParameterError(
-                f"chirp must be an object with keys among {sorted(_CHIRP_KEYS)}, got {chirp!r}")
-        config = cls(
-            n=_integer("n", merged["n"]), extent=_number("extent", merged["extent"]),
-            window_alpha=_number("window_alpha", merged["window_alpha"]),
-            gaussian_alphas=_numbers("gaussian_alphas", merged["gaussian_alphas"]),
-            chirp={key: _number(f"chirp {key}", v) for key, v in chirp.items()},
-            param_sets=param_sets,
-            eps=_numbers("eps", merged["eps"]),
-            pitt_alphas=_numbers("pitt_alphas", merged["pitt_alphas"]),
-            hardy_alphas=_numbers("hardy_alphas", merged["hardy_alphas"]),
-            hardy_radius=_number("hardy_radius", merged["hardy_radius"]),
-            hardy_n=_integer("hardy_n", merged["hardy_n"]),
-            oracle_n=_integer("oracle_n", merged["oracle_n"]),
-            oracle_trials=_integer("oracle_trials", merged["oracle_trials"]),
-            seed=_integer("seed", merged["seed"]),
-        )
+        config = cls(n=_integer("n", merged["n"]), param_sets=param_sets,
+                     seed=_integer("seed", merged["seed"]))
         if config.n < 4 or config.n % 2:
             raise ParameterError(f"n must be even and at least 4, got {config.n}")
-        for e in config.eps:
-            if not 0 <= e < 0.5:
-                raise ParameterError(f"eps values must lie in [0, 0.5), got {e}")
-        for a in config.pitt_alphas:
-            if not 0 <= a < 2:
-                raise ParameterError(f"pitt alpha must lie in [0, 2), got {a}")
-        if config.oracle_trials < 1:
-            # zero trials would record a passing oracle check with lhs=0
-            raise ParameterError(
-                f"oracle_trials must be at least 1, got {config.oracle_trials}")
-        if config.oracle_n < 4 or config.oracle_n % 4:
-            # stqolct-routes samples the oracle grid's translations at stride 4
-            raise ParameterError(
-                f"oracle_n must be a multiple of 4, at least 4, got {config.oracle_n}")
-        if config.hardy_n < 2:
-            raise ParameterError(f"hardy_n must be at least 2, got {config.hardy_n}")
-        for key in ("extent", "window_alpha", "hardy_radius", "gaussian_alphas",
-                    "hardy_alphas"):
-            value = getattr(config, key)
-            if any(v <= 0 for v in (value if isinstance(value, list) else [value])):
-                raise ParameterError(f"{key} must be positive, got {value!r}")
         return config
 
-    def axes(self, n=None):
-        n = n or self.n
-        return Axis.centered(n, self.extent), Axis.centered(n, self.extent)
+
+def _axes(n):
+    """The corpus grid of n samples per axis."""
+    return Axis.centered(n, _EXTENT), Axis.centered(n, _EXTENT)
 
 
 def _number(key, value):
@@ -214,11 +169,10 @@ def _integer(key, value):
     return int(value)
 
 
-def _numbers(key, value, count=None):
-    """A config value that must be a list of finite numbers (``count`` of them)."""
-    if not isinstance(value, list) or count not in (None, len(value)):
-        size = "" if count is None else f"{count} "
-        raise ParameterError(f"{key} must be a list of {size}numbers, got {value!r}")
+def _sextet(key, value):
+    """A config value that must be a list of 6 finite numbers."""
+    if not isinstance(value, list) or len(value) != 6:
+        raise ParameterError(f"{key} must be a list of 6 numbers, got {value!r}")
     return [_number(key, v) for v in value]
 
 
@@ -280,7 +234,7 @@ def _check_quat_algebra(config):
     return results
 
 
-def _check_special_fn(config):
+def _check_special_fn():
     # the constant's local slope at alpha=0.5 is ~107.5, so the increment
     # at h=1e-4 sits just above 1e-2; bound accordingly and check the
     # increment actually shrinks linearly with h
@@ -293,9 +247,9 @@ def _check_special_fn(config):
 
 def _check_qft(config):
     results = []
-    ax1, ax2 = config.axes()
+    ax1, ax2 = _axes(config.n)
     plan = QftPlan.for_axes(ax1, ax2)
-    for alpha in config.gaussian_alphas:
+    for alpha in _GAUSSIAN_ALPHAS:
         f = gaussian_signal(ax1, ax2, alpha)
         F = qft_forward(f, plan)
         ratio = (float(np.sum(qft_modulus(F) ** 2)) * F.cell_area
@@ -304,42 +258,39 @@ def _check_qft(config):
         back = qft_inverse(F, plan)
         results.append(_below("qft-roundtrip", {"alpha": alpha},
                               _rel_l2(back, f), 0.0, 1e-6))
-    cg = GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **config.chirp).data,
+    cg = GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **_CHIRP).data,
                                      gaussian_signal(ax1, ax2, 1.0).data))
     Fc = qft_forward(cg, plan)
     ratio = (float(np.sum(qft_modulus(Fc) ** 2)) * Fc.cell_area
              / (4 * math.pi**2 * l2_norm(cg) ** 2))
     results.append(_close("qft-plancherel", {"signal": "chirp-gauss"}, ratio, 1.0, 1e-3))
 
-    oax1, oax2 = config.axes(config.oracle_n)
+    oax1, oax2 = _axes(_ORACLE_N)
     oplan = QftPlan.for_axes(oax1, oax2)
     worst = 0.0
-    for trial in range(config.oracle_trials):
+    for trial in range(_ORACLE_TRIALS):
         rng = np.random.default_rng(config.seed + 1000 + trial)
         f = _rand_signal(oax1, oax2, rng)
         worst = max(worst, _max_abs(qft_forward(f, oplan, "fast").data,
                                     qft_forward(f, oplan, "direct").data))
-    results.append(_below("qft-oracle", {"n": config.oracle_n,
-                                         "trials": config.oracle_trials},
+    results.append(_below("qft-oracle", {"n": _ORACLE_N, "trials": _ORACLE_TRIALS},
                           worst, 0.0, 1e-9))
     return results
 
 
-def _check_hardy(config):
+def _check_hardy():
     results = []
-    ax1 = Axis.centered(config.hardy_n, config.extent)
-    ax2 = Axis.centered(config.hardy_n, config.extent)
+    ax1, ax2 = _axes(_HARDY_N)
     plan = QftPlan.for_axes(ax1, ax2)
-    for alpha in config.hardy_alphas:
+    for alpha in _HARDY_ALPHAS:
         F = qft_forward(gaussian_signal(ax1, ax2, alpha), plan)
         fit = hardy_decay_fit(qft_modulus(F), plan.w1.coords, plan.w2.coords,
-                              config.hardy_radius)
+                              _HARDY_RADIUS)
         results.append(_close("hardy-qft", {"alpha": alpha, "r2": fit.r2},
                               4.0 * alpha * fit.beta, 1.0, 0.02))
-    chirp = chirp_signal(ax1, ax2, **config.chirp)
+    chirp = chirp_signal(ax1, ax2, **_CHIRP)
     Fc = qft_forward(chirp, plan)
-    fit = hardy_decay_fit(qft_modulus(Fc), plan.w1.coords, plan.w2.coords,
-                          config.hardy_radius)
+    fit = hardy_decay_fit(qft_modulus(Fc), plan.w1.coords, plan.w2.coords, _HARDY_RADIUS)
     flagged = fit.r2 < 0.9
     results.append(InequalityResult(
         name="hardy-chirp",
@@ -348,11 +299,11 @@ def _check_hardy(config):
     return results
 
 
-def _check_beurling(config, pset):
+def _check_beurling(pset):
     name, a1, a2 = pset
     ax1 = Axis.centered(16, 4.0)
     ax2 = Axis.centered(16, 4.0)
-    window = gaussian_signal(ax1, ax2, config.window_alpha)
+    window = gaussian_signal(ax1, ax2, _WINDOW_ALPHA)
     plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=1)
     f = gaussian_signal(ax1, ax2, 1.0)
     res = beurling_integral(f, plan, 2.0)
@@ -366,10 +317,10 @@ def _check_beurling(config, pset):
 def _check_param_set(config, pset, selected):
     name, a1, a2 = pset
     results = []
-    ax1, ax2 = config.axes()
+    ax1, ax2 = _axes(config.n)
     want = lambda *names: selected is None or any(s in selected for s in names)
     plan = QolctPlan.for_axes(a1, a2, ax1, ax2)
-    for alpha in config.gaussian_alphas:
+    for alpha in _GAUSSIAN_ALPHAS:
         f = gaussian_signal(ax1, ax2, alpha)
         F = qolct_forward(f, plan)
         results.append(_close("qolct-plancherel", {"set": name, "alpha": alpha},
@@ -377,19 +328,19 @@ def _check_param_set(config, pset, selected):
         results.append(_below("qolct-roundtrip", {"set": name, "alpha": alpha},
                               _rel_l2(qolct_inverse(F, plan), f), 0.0, 1e-6))
 
-    oax1, oax2 = config.axes(config.oracle_n)
+    oax1, oax2 = _axes(_ORACLE_N)
     oplan = QolctPlan.for_axes(a1, a2, oax1, oax2)
     worst = 0.0
-    for trial in range(config.oracle_trials):
+    for trial in range(_ORACLE_TRIALS):
         rng = np.random.default_rng(config.seed + 2000 + trial)
         f = _rand_signal(oax1, oax2, rng)
         worst = max(worst, _max_abs(qolct_forward(f, oplan, "fast").data,
                                     qolct_forward(f, oplan, "direct").data))
-    results.append(_below("qolct-oracle", {"set": name, "n": config.oracle_n},
+    results.append(_below("qolct-oracle", {"set": name, "n": _ORACLE_N},
                           worst, 0.0, 1e-9))
 
     f = _rand_signal(oax1, oax2, np.random.default_rng(config.seed + 3000))
-    window = gaussian_signal(oax1, oax2, config.window_alpha)
+    window = gaussian_signal(oax1, oax2, _WINDOW_ALPHA)
     plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
     fields = {r: stqolct_forward(f, plan, r).data
               for r in ("direct", "via_qolct", "via_qft")}
@@ -400,20 +351,19 @@ def _check_param_set(config, pset, selected):
     # engine, and the chirp-Gaussian, which does not factor, runs the
     # two-axis engine on all four window terms; only against direct, as
     # via_qft costs more than both together
-    windows = {"psi": gaussian_signal(oax1, oax2, config.window_alpha,
-                                      amplitude=_PSI_AMPLITUDE),
-               "chirp-gauss": _chirp_gaussian(config, oax1, oax2)}
+    windows = {"psi": gaussian_signal(oax1, oax2, _WINDOW_ALPHA, amplitude=_PSI_AMPLITUDE),
+               "chirp-gauss": _chirp_gaussian(oax1, oax2)}
     for window in windows.values():
         plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
         worst = max(worst, _max_abs(stqolct_forward(f, plan, "direct").data,
                                     stqolct_forward(f, plan, "via_qolct").data))
-    results.append(_below("stqolct-routes", {"set": name, "n": config.oracle_n,
-                                             "stride": 4}, worst, 0.0, 1e-9))
+    results.append(_below("stqolct-routes", {"set": name, "n": _ORACLE_N, "stride": 4},
+                          worst, 0.0, 1e-9))
     if want("reconstruction-exact"):
         for label, window in windows.items():
             results.append(_reconstruction_exact(f, a1, a2, window, label, name))
 
-    window = gaussian_signal(ax1, ax2, config.window_alpha)
+    window = gaussian_signal(ax1, ax2, _WINDOW_ALPHA)
     plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=1)
     f = gaussian_signal(ax1, ax2, 1.0)
     # one streamed pass of the field feeds every field record; the
@@ -436,14 +386,14 @@ def _check_param_set(config, pset, selected):
         if rebuilt is not None:
             results.append(_below("reconstruction", {"set": name},
                                   _rel_l2(rebuilt, f), 0.0, 1e-3))
-        for eps in config.eps:
+        for eps in _EPS:
             res = donoho_stark_check(f, plan, eps, eps, marginal=marginal)
             res.params["set"] = name
             results.append(res)
     if want("donoho-stark-support"):
-        results.append(_donoho_stark_corollary(config, plan, f, name))
+        results.append(_donoho_stark_corollary(plan, f, name))
     if streamed:
-        for alpha in config.pitt_alphas:
+        for alpha in _PITT_ALPHAS:
             res = pitt_check(f, plan, alpha, marginal=marginal)
             res.params["set"] = name
             results.append(res)
@@ -452,33 +402,18 @@ def _check_param_set(config, pset, selected):
         for res in log_up_check(f, plan, marginal=marginal):
             res.params["set"] = name
             results.append(res)
-        results.extend(_hardy_field(config, plan, f, sums, name))
+        results.extend(_hardy_field(plan, f, sums, name))
     return results
 
 
-def _chirp_gaussian(config, ax1, ax2):
+def _chirp_gaussian(ax1, ax2):
     """The corpus chirp times a Gaussian of rate 0.75.
 
     It is the Moyal records' second signal, and a window that does not
     factor (``stqolct._window_factors``), so it runs the two-axis engine.
     """
-    return GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **config.chirp).data,
+    return GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **_CHIRP).data,
                                        gaussian_signal(ax1, ax2, 0.75).data))
-
-
-def _window_cover(plan):
-    """Sum over the stride-1 translations u of |phi(x - u)|^2 du, grid-exact.
-
-    Translation i shifts the window by i - n // 2 samples, so sample k
-    sums |phi|^2 over the samples s with n // 2 - n < s - k <= n // 2: one
-    0/1 band matrix on each side of |phi|^2.
-    """
-    def band(n):
-        d = np.arange(n) - np.arange(n)[:, None]  # d[k, s] = s - k
-        return ((d > n // 2 - n) & (d <= n // 2)).astype(float)
-
-    sq = np.sum(plan.window.data ** 2, axis=-1)
-    return band(plan.ax1.n) @ sq @ band(plan.ax2.n).T * (plan.u1.step * plan.u2.step)
 
 
 def _reconstruction_exact(f, a1, a2, window, label, name):
@@ -488,21 +423,22 @@ def _reconstruction_exact(f, a1, a2, window, label, name):
     # g * conj(phi) * phi = g |phi|^2).  Unlike the reconstruction record,
     # it sees every translation row and a quaternion window's q.  On the
     # default corpus, seeds 0 to 3, the residual measured at most 3.3e-15,
-    # 4.0e-15 and 1.2e-14 at oracle_n = 16, 32 and 64.
+    # 4.0e-15 and 1.2e-14 at _ORACLE_N = 16, 32 and 64.
     plan = StqolctPlan.create(a1, a2, f.ax1, f.ax2, window, stride=1)
     rec = _Reconstruction(plan)
     _stream(f, plan, rec)
-    expect = f.data * (_window_cover(plan) / l2_norm(window) ** 2)[:, :, None]
+    cover = _window_cover(plan, np.sum(window.data ** 2, axis=-1))
+    expect = f.data * (cover / l2_norm(window) ** 2)[:, :, None]
     return _below("reconstruction-exact", {"set": name, "window": label, "n": f.ax1.n},
                   _rel_l2(rec.result(), GridSignal2D(f.ax1, f.ax2, expect)), 0.0, 1e-12)
 
 
-def _donoho_stark_corollary(config, plan, f, name):
+def _donoho_stark_corollary(plan, f, name):
     # exact-support case: compactly truncated signal, eps = 0 on both sides
     ax1, ax2 = plan.ax1, plan.ax2
     radii = np.hypot(ax1.coords[:, None], ax2.coords[None, :])
     data = f.data.copy()
-    data[radii > config.extent / 2.0] = 0.0
+    data[radii > _EXTENT / 2.0] = 0.0
     truncated = GridSignal2D(ax1, ax2, data)
     res = donoho_stark_check(truncated, plan, 0.0, 0.0)
     res.name = "donoho-stark-support"
@@ -510,7 +446,7 @@ def _donoho_stark_corollary(config, plan, f, name):
     return res
 
 
-def _hardy_field(config, plan, f, sums, name):
+def _hardy_field(plan, f, sums, name):
     # decay fits on the coefficient magnitude at u = 0 and at the
     # energy-maximizing translation (the first in row-major order), each
     # slice one fast QOLCT of its modified signal; informational only
@@ -523,8 +459,7 @@ def _hardy_field(config, plan, f, sums, name):
         mag = qnorm(qolct_forward(g, plan.qolct).data)
         try:
             fit = hardy_decay_fit(mag, plan.qolct.w1.coords, plan.qolct.w2.coords,
-                                  config.hardy_radius,
-                                  offset=(p1.p, p2.p), scale=(p1.b, p2.b))
+                                  _HARDY_RADIUS, offset=(p1.p, p2.p), scale=(p1.b, p2.b))
             results.append(InequalityResult(
                 name="hardy-field",
                 params={"set": name, "u": label, "beta": fit.beta, "r2": fit.r2},
@@ -541,36 +476,31 @@ def _check_moyal(config, pset, label):
     # S_f^phi against S_g^psi: moyal-shared-window takes g, phi;
     # moyal-shared-signal f, psi; moyal-general g, psi.  Identity checks
     # scale as n^4 in memory; a 48-point grid resolves the corpus signals
-    # while keeping the two coefficient stacks small
+    # while keeping the two coefficient stacks small.  The 1 and i parts
+    # of both sides agree on the grid (moyal_check): on the default
+    # corpus the residual measured at most 8.5e-16, 2.0e-15 and 2.7e-15
+    # relative at n = 16, 32 and 48
     name, a1, a2 = pset
-    ax1, ax2 = config.axes(min(config.n, 48))
+    ax1, ax2 = _axes(min(config.n, 48))
     qplan = QolctPlan.for_axes(a1, a2, ax1, ax2)
     f = gaussian_signal(ax1, ax2, 1.0)
-    phi = gaussian_signal(ax1, ax2, config.window_alpha)
+    phi = gaussian_signal(ax1, ax2, _WINDOW_ALPHA)
     g, psi = f, phi
     if label != "moyal-shared-signal":
-        g = _chirp_gaussian(config, ax1, ax2)
+        g = _chirp_gaussian(ax1, ax2)
     if label != "moyal-shared-window":
         psi = gaussian_signal(ax1, ax2, 1.5, amplitude=_PSI_AMPLITUDE)
     res = moyal_check(f, g, phi, psi, qplan)
-    if label == "moyal-general":
-        return [InequalityResult(
-            name=label,
-            params={"set": name, "lhs": [float(v) for v in res.lhs],
-                    "rhs": [float(v) for v in res.rhs],
-                    "rhs_reversed": [float(v) for v in res.rhs_reversed]},
-            lhs=float(res.lhs[0]), rhs=float(res.rhs[0]),
-            margin=0.0, tolerance=0.0, passed=True)]
-    scale = max(abs(float(res.rhs[0])), 1e-300)
-    return [_close(label, {"set": name}, float(res.lhs[0]) / scale,
-                   float(res.rhs[0]) / scale, 1e-3)]
+    err = float(np.max(np.abs(res.lhs[:2] - res.rhs[:2]))) / max(float(qnorm(res.rhs)), 1e-300)
+    return [_below(label, {"set": name}, err, 0.0, 1e-12)]
 
 
 def run_verification(config: RunConfig, only=None):
     """Run the corpus and return results in deterministic task order.
 
-    Every name in ``only`` must be a registered check and must yield at
-    least one record; otherwise the run is a ParameterError.
+    Every name in ``only`` must be a registered check; otherwise the run
+    is a ParameterError.  Each registered name emits records on every
+    config, as the corpus lists are fixed and nonempty.
     """
     selected = set(only) if only else None
     if selected is not None:
@@ -579,9 +509,9 @@ def run_verification(config: RunConfig, only=None):
             raise ParameterError(f"unknown check names: {sorted(unknown)}")
     tasks = [
         ("quat-algebra", lambda: _check_quat_algebra(config)),
-        ("special-fn", lambda: _check_special_fn(config)),
+        ("special-fn", _check_special_fn),
         ("qft", lambda: _check_qft(config)),
-        ("hardy", lambda: _check_hardy(config)),
+        ("hardy", _check_hardy),
     ]
     for pset in config.param_sets:
         tasks.append((f"params:{pset[0]}",
@@ -589,7 +519,7 @@ def run_verification(config: RunConfig, only=None):
         for label in _MOYAL_CHECKS:
             tasks.append((f"{label}:{pset[0]}",
                           lambda p=pset, label=label: _check_moyal(config, p, label)))
-        tasks.append((f"beurling:{pset[0]}", lambda p=pset: _check_beurling(config, p)))
+        tasks.append((f"beurling:{pset[0]}", lambda p=pset: _check_beurling(p)))
 
     if selected is not None:
         tasks = [t for t in tasks
@@ -602,11 +532,6 @@ def run_verification(config: RunConfig, only=None):
             results.extend(chunk)
     if selected is not None:
         results = [r for r in results if r.name in selected]
-        empty = selected - {r.name for r in results}
-        if empty:
-            # a selected check with no record would certify nothing
-            raise ParameterError(f"selected checks produced no records: {sorted(empty)} "
-                                 "(check the config lists they read)")
     return results
 
 

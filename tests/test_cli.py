@@ -193,8 +193,6 @@ class TestVerify:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "n": 16,
-            "oracle_trials": 2,
-            "hardy_n": 64,
             "param_sets": [{"name": "shear", "A1": [1, 1, 0, 1, 0.2, -0.4],
                             "A2": [1, 1, 0, 1, 0.2, -0.4]}],
         }))
@@ -208,10 +206,10 @@ class TestVerify:
         report = tmp_path / "report.jsonl"
         assert run("verify", "--n", "16", "--out", report) == 0
         verdict = capsys.readouterr().out.splitlines()[-1]
-        assert verdict == f"113 checks, 0 gated failures (97 gated) -> report {report}"
+        assert verdict == f"113 checks, 0 gated failures (100 gated) -> report {report}"
         names = [json.loads(line)["name"] for line in report.read_text().splitlines()]
         assert len(names) == 113
-        assert sum(name not in UNGATED_CHECKS for name in names) == 97
+        assert sum(name not in UNGATED_CHECKS for name in names) == 100
         # the form the benchmark's verify-corpus workload parses
         parsed = re.search(r"(\d+) checks, (\d+) gated failures", verdict)
         assert parsed.groups() == ("113", "0")
@@ -245,40 +243,20 @@ class TestVerify:
                    "--out", report) == 2
         assert not report.exists()
 
-    def test_only_name_without_records_exits_2(self, tmp_path):
-        # --only pitt with no pitt alphas used to write 0 checks and exit 0
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n": 16, "pitt_alphas": []}))
-        report = tmp_path / "r.jsonl"
-        assert run("verify", "--config", config, "--only", "pitt",
-                   "--out", report) == 2
-        assert not report.exists()
-
-    def test_zero_oracle_trials_exits_2(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n": 16, "oracle_trials": 0}))
-        report = tmp_path / "r.jsonl"
-        assert run("verify", "--config", config, "--out", report) == 2
-        assert not report.exists()
-
     @pytest.mark.parametrize("entry", [
         {"n": 32.9},                                    # an integer key, not integral
         {"n": "abc"},
-        {"extent": "wide"},                             # a number key, not a number
-        {"hardy_radius": float("inf")},
-        {"eps": 0.1},                                   # a list key, not a list
-        {"gaussian_alphas": [1.0, "two"]},
-        {"chirp": {"bogus": 1}},                        # chirp keys off the signature
-        {"chirp": [0.25, -0.2]},
         {"param_sets": [{"A1": [0, 1, -1, 0, 0], "A2": [0, 1, -1, 0, 0, 0]}]},
-        {"oracle_n": 6},                                # stqolct-routes uses stride 4
-        {"oracle_n": 0},
-        {"extent": 0},                                  # out of a positive domain
-        {"window_alpha": -1.0},
-        {"hardy_radius": 0},
-        {"gaussian_alphas": [0]},
-        {"hardy_alphas": [1.0, -0.5]},
-        {"hardy_n": 1},
+        {"seed": 1.5},
+        {"n": 15},                                      # n must be even and at least 4
+        {"n": 2},
+        {"param_sets": {"A1": [0, 1, -1, 0, 0, 0], "A2": [0, 1, -1, 0, 0, 0]}},
+        {"param_sets": []},
+        {"param_sets": [{"A1": [0, 1, -1, 0, 0, 0]}]},  # a set needs both sextets
+        {"param_sets": [{"A1": [0, 1, -1, 0, 0, "x"], "A2": [0, 1, -1, 0, 0, 0]}]},
+        {"param_sets": [{"A1": [0, 1, -1, 0, 0, float("inf")],
+                         "A2": [0, 1, -1, 0, 0, 0]}]},
+        {"seed": True},                                 # a JSON true is not an integer
     ])
     def test_mistyped_config_exits_2_before_any_task(self, monkeypatch, tmp_path, entry):
         monkeypatch.setattr("qtfa.cli.run_verification",
@@ -287,6 +265,30 @@ class TestVerify:
         config.write_text(json.dumps(entry))
         report = tmp_path / "r.jsonl"
         assert run("verify", "--config", config, "--out", report) == 2
+        assert not report.exists()
+
+    @pytest.mark.parametrize("key", ["extent", "window_alpha", "gaussian_alphas", "chirp",
+                                     "eps", "pitt_alphas", "hardy_alphas", "hardy_radius",
+                                     "hardy_n", "oracle_n", "oracle_trials"])
+    def test_removed_config_key_exits_2_before_any_task(self, monkeypatch, tmp_path,
+                                                         capsys, key):
+        # the corpus constants of verify used to be config keys
+        monkeypatch.setattr("qtfa.cli.run_verification",
+                            lambda *args, **kwargs: pytest.fail("a task ran"))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n": 16, key: 1}))
+        report = tmp_path / "r.jsonl"
+        assert run("verify", "--config", config, "--out", report) == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_extent_flag_exits_2_before_any_task(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("qtfa.cli.run_verification",
+                            lambda *args, **kwargs: pytest.fail("a task ran"))
+        report = tmp_path / "r.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            run("verify", "--n", 16, "--extent", 4, "--out", report)
+        assert exit_info.value.code == 2
         assert not report.exists()
 
     def test_malformed_json_exits_2(self, tmp_path):

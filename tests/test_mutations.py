@@ -1,8 +1,13 @@
 """Mutation audit: each defect below must fail at least one gated record.
 
-Each mutant is monkeypatched into the package and the parameter-set
-records of the default corpus are run at n=16.  The records that caught
-each mutant are printed (``pytest -s``).
+Each mutant is monkeypatched into the package and the parameter-set and
+Moyal records of the default corpus are run at n=16.  The records that
+caught each mutant are printed (``pytest -s``).
+
+Not on the list: a ``_FieldSums`` that zeroes its last row (marginal
+slot, ``u_energy`` row and peak) still gives no gated failure, as the
+corpus Gaussian has no energy there; it waits for a grid-exact oracle of
+the streamed sums.
 """
 
 import numpy as np
@@ -10,7 +15,8 @@ import pytest
 
 from qtfa import qft, qolct, stqolct
 from qtfa.quaternion import qconj
-from qtfa.verify import _CHECKS, RunConfig, default_config_dict, gated_failures, run_verification
+from qtfa.verify import (_CHECKS, _MOYAL_CHECKS, RunConfig, default_config_dict,
+                         gated_failures, run_verification)
 
 
 def _conj_q_reconstruction(monkeypatch):
@@ -105,6 +111,52 @@ def _scaled_rows(monkeypatch):
     monkeypatch.setattr(stqolct, "_engine", mutant)
 
 
+def _translation_rows_shifted(monkeypatch):
+    # the two-axis engine's window planes are shifted one sample along x1
+    row = stqolct._Translations.row
+
+    def mutant(self, i1):
+        exact = row(self, i1)
+        shifted = np.zeros_like(exact)
+        shifted[:, 1:] = exact[:, :-1]
+        return shifted
+
+    monkeypatch.setattr(stqolct._Translations, "row", mutant)
+
+
+def _m_channel_unconjugated(monkeypatch):
+    # the m channel takes the right (j-complex) profiles unconjugated
+    profiles = qolct._profiles
+
+    def mutant(src, dst, signs, heads, tails):
+        p, _ = profiles(src, dst, signs, heads, tails)
+        _, m = profiles(src, dst, signs, (heads[0], np.conj(heads[1])),
+                        (tails[0], np.conj(tails[1])))
+        return p, m
+
+    monkeypatch.setattr(qolct, "_profiles", mutant)
+
+
+def _inverse_without_b_weight(monkeypatch):
+    # the inverse profiles lose the |b1 b2| weight of the dw sums
+    profiles = qolct._channel_profiles
+
+    def mutant(plan, inverse=False):
+        channels = profiles(plan, inverse)
+        if not inverse:
+            return channels
+        weight = abs(plan.params1.b * plan.params2.b)
+        return tuple(ch._replace(tail1=ch.tail1 / weight) for ch in channels)
+
+    monkeypatch.setattr(qolct, "_channel_profiles", mutant)
+
+
+def _transposed_moyal_gram(monkeypatch):
+    # the Moyal Gram sums pair the fields the other way round
+    conj_product_sum = stqolct._conj_product_sum
+    monkeypatch.setattr(stqolct, "_conj_product_sum", lambda gram: conj_product_sum(gram.T))
+
+
 MUTANTS = {
     "conj-q-reconstruction": _conj_q_reconstruction,
     "reconstruction-skips-last-row": _reconstruction_skips_the_last_row,
@@ -114,6 +166,10 @@ MUTANTS = {
     "factored-engine-folds-q": _factored_engine_folds_q,
     "translations-off-by-one": _translations_off_by_one,
     "scaled-rows": _scaled_rows,
+    "translation-rows-shifted": _translation_rows_shifted,
+    "m-channel-unconjugated": _m_channel_unconjugated,
+    "inverse-without-b-weight": _inverse_without_b_weight,
+    "transposed-moyal-gram": _transposed_moyal_gram,
 }
 
 
@@ -121,7 +177,8 @@ MUTANTS = {
 def test_each_mutant_fails_a_gated_record(monkeypatch, mutant):
     MUTANTS[mutant](monkeypatch)
     config = RunConfig.from_dict({**default_config_dict(), "n": 16})
-    failures = gated_failures(run_verification(config, only=_CHECKS["params"]))
+    only = _CHECKS["params"] + _MOYAL_CHECKS
+    failures = gated_failures(run_verification(config, only=only))
     caught = sorted({r.name for r in failures})
     print(f"{mutant}: {len(failures)} gated failures in {caught}")
     assert failures

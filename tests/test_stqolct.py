@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_signal, sextets
 from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   chirp_signal, coefficient_slice, gaussian_signal,
-                  impulse_signal, l2_norm, modified_signal,
+                  impulse_signal, inner_product, l2_norm, modified_signal,
                   moyal_check, qconj, qmul, qnorm, qolct_forward, qolct_inverse,
                   quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
                   translate_window)
@@ -241,6 +241,10 @@ class TestMoyal:
         assert res.lhs[0] == pytest.approx(expect, rel=1e-3)
         assert np.max(np.abs(res.lhs[1:])) < 1e-9 * expect
 
+    @staticmethod
+    def _one_and_i_residual(res):
+        return np.max(np.abs(res.lhs[:2] - res.rhs[:2])) / qnorm(res.rhs)
+
     def test_shared_window_scalar_part(self, grid):
         ax, qplan = grid
         f = gaussian_signal(ax, ax, 1.0, amplitude=quat(1.0, 0.2, -0.1, 0.4))
@@ -248,8 +252,7 @@ class TestMoyal:
                                       gaussian_signal(ax, ax, 0.75).data))
         phi = gaussian_signal(ax, ax, 2.0)
         res = moyal_check(f, g, phi, phi, qplan)
-        scale = l2_norm(phi) ** 2 * l2_norm(f) * l2_norm(g)
-        assert abs(res.lhs[0] - res.rhs[0]) < 1e-3 * scale
+        assert self._one_and_i_residual(res) < 1e-12
 
     def test_shared_signal_scalar_part(self, grid):
         ax, qplan = grid
@@ -257,9 +260,33 @@ class TestMoyal:
         phi = gaussian_signal(ax, ax, 2.0)
         psi = gaussian_signal(ax, ax, 1.5, amplitude=quat(0.7, 0.0, 0.3, -0.2))
         res = moyal_check(f, f, phi, psi, qplan)
-        scale = l2_norm(f) ** 2 * l2_norm(phi) * l2_norm(psi)
-        assert abs(res.lhs[0] - res.rhs[0]) < 1e-3 * scale
-        assert abs(res.lhs[0] - res.rhs_reversed[0]) < 1e-3 * scale
+        assert self._one_and_i_residual(res) < 1e-12
+
+    def test_random_quaternion_inputs_one_and_i_parts(self):
+        # the identity holds for any f, g, phi, psi, windows that reach
+        # the grid's edge included; the j and k parts are not part of it
+        ax = Axis.centered(12, 4.0)
+        qplan = QolctPlan.for_axes(MIXED, NEG_B, ax, ax)
+        f, g, phi, psi = (random_signal(ax, ax, seed=seed) for seed in range(600, 604))
+        res = moyal_check(f, g, phi, psi, qplan)
+        assert self._one_and_i_residual(res) < 1e-12
+        assert np.max(np.abs(res.lhs[2:] - res.rhs[2:])) > 1e-3 * qnorm(res.rhs)
+
+    def test_rhs_is_the_sum_over_translated_windows(self):
+        ax = Axis.centered(8, 4.0)
+        qplan = QolctPlan.for_axes(UNIT_B, MIXED, ax, ax)
+        f, g, phi, psi = (random_signal(ax, ax, seed=seed) for seed in range(610, 614))
+        plan = StqolctPlan.create(UNIT_B, MIXED, ax, ax, phi, stride=1)
+        expect = np.zeros(4)
+        for i1 in range(plan.u1.n):
+            for i2 in range(plan.u2.n):
+                u = plan.translation(i1, i2)
+                h_f = modified_signal(f, phi, u).data
+                h_g = modified_signal(g, psi, u).data
+                expect += np.sum(qmul(h_f, qconj(h_g)), axis=(0, 1))
+        expect *= f.cell_area * plan.u1.step * plan.u2.step
+        res = moyal_check(f, g, phi, psi, qplan)
+        np.testing.assert_allclose(res.rhs, expect, rtol=0, atol=1e-12 * qnorm(expect))
 
     def test_orthogonal_signals_shared_window(self, grid):
         ax, qplan = grid
@@ -274,8 +301,9 @@ class TestMoyal:
         assert abs(res.lhs[0]) < 1e-3 * l2_norm(phi) ** 2 * l2_norm(f) * l2_norm(g)
 
     def test_general_case_scalar_parts_can_disagree(self):
-        # one-cell counterexample: the printed product identity fails for
-        # genuinely quaternion data, so only matching pairs are gated
+        # one-cell counterexample: the printed product <f, g> <phi, psi>
+        # has the opposite sign of lhs for genuinely quaternion data,
+        # while R = sum f C conj(g) dA matches it
         ax = Axis.centered(8, 4.0)
         qplan = QolctPlan.for_axes(UNIT_B, UNIT_B, ax, ax)
         cell = 1.0 / (ax.step * ax.step)
@@ -286,8 +314,11 @@ class TestMoyal:
         f, g = one_cell(1), one_cell(2)
         phi, psi = one_cell(1), one_cell(2)
         res = moyal_check(f, g, phi, psi, qplan)
-        assert res.rhs[0] == pytest.approx(res.rhs_reversed[0], rel=1e-12)
-        assert res.lhs[0] * res.rhs[0] < 0  # opposite signs
+        np.testing.assert_allclose(res.lhs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(res.rhs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        for product in (qmul(inner_product(f, g), inner_product(phi, psi)),
+                        qmul(inner_product(phi, psi), inner_product(f, g))):
+            assert product[0] == pytest.approx(-1.0, rel=1e-12)
 
 
 class TestReconstruction:

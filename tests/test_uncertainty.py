@@ -80,6 +80,15 @@ class TestEpsilonConcentration:
         with pytest.raises(ShapeError):
             epsilon_concentration(f, wrong)
 
+    def test_domain_mismatch(self, marginal32):
+        # a frequency cell set of the signal's shape used to give 0.0 for f
+        f, marginal = marginal32
+        cells = essential_support(marginal, 0.1)
+        assert cells.shape == f.data.shape[:2]
+        assert epsilon_concentration(marginal, cells) <= 0.1
+        with pytest.raises(ShapeError, match="frequency"):
+            epsilon_concentration(f, cells)
+
 
 class TestEssentialSupport:
     def test_exact_support_at_zero_eps(self, small_axes):

@@ -14,8 +14,6 @@ def small_config(**overrides):
     raw = default_config_dict()
     raw.update({
         "n": 16,
-        "oracle_trials": 2,
-        "hardy_n": 64,
         "param_sets": [
             {"name": "shear", "A1": [1, 1, 0, 1, 0.2, -0.4],
              "A2": [1, 1, 0, 1, 0.2, -0.4]},
@@ -31,6 +29,10 @@ class TestRunConfig:
         assert config.n == 64
         assert len(config.param_sets) == 3
 
+    def test_only_n_param_sets_and_seed_are_settable(self):
+        assert set(default_config_dict()) == {"n", "param_sets", "seed"}
+        assert set(RunConfig.__dataclass_fields__) == {"n", "param_sets", "seed"}
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParameterError):
             RunConfig.from_dict({"definitely_not_a_key": 1})
@@ -41,11 +43,6 @@ class TestRunConfig:
                               "A2": [1, 1, 0, 1, 0, 0]}]
         with pytest.raises(ParameterError):
             RunConfig.from_dict(raw)
-
-    def test_zero_oracle_trials_rejected(self):
-        # zero trials used to emit passing oracle records with lhs=0
-        with pytest.raises(ParameterError):
-            RunConfig.from_dict({"oracle_trials": 0})
 
 
 class TestRunVerification:
@@ -80,16 +77,6 @@ class TestRunVerification:
     def test_names_no_record_carries_are_unknown(self, alias):
         with pytest.raises(ParameterError, match="unknown check names"):
             run_verification(small_config(), only=[alias])
-
-    @pytest.mark.parametrize("overrides, name", [
-        ({"pitt_alphas": []}, "pitt"),
-        ({"pitt_alphas": [0.5]}, "pitt-equality"),
-        ({"eps": []}, "donoho-stark"),
-    ])
-    def test_selected_check_without_records_rejected(self, overrides, name):
-        # a selected check that yields no record would certify nothing
-        with pytest.raises(ParameterError, match="produced no records"):
-            run_verification(small_config(**overrides), only=[name])
 
     def test_default_corpus_record_order(self):
         head = (["quat-table", "quat-norm-multiplicative", "quat-conj-antiautomorphism",
