@@ -75,10 +75,31 @@ translations without a dense field, fed by the engine (``_stream``);
 field (``_replay``).  A dense field's energy and w-marginal need no
 pass: each (w1, w2) node's coefficients are one contiguous run,
 reduced in place (``_dense_marginal``).  ``moyal_check`` builds its two
-fields with ``stqolct_forward`` and takes their Gram sums as one matrix
-product, and its grid-exact right side from the window cover
-(``_window_cover``).  Identity checks (energy, Moyal, reconstruction)
-integrate over all translations and therefore require stride 1.
+fields with ``stqolct_forward`` and sums their Gram products in chunks
+of ``_GRAM_ROWS`` rows, in row order, and takes its grid-exact right
+side from the window cover (``_window_cover``).  Identity checks
+(energy, Moyal, reconstruction) integrate over all translations and
+therefore require stride 1.
+
+Spare field arrays.  ``stqolct_forward`` takes its output array from
+``_field_array``.  Two callers build dense fields only to reduce them
+and hand the arrays back through ``_discard``: ``moyal_check`` after its
+Gram sums, and the dense-field fallback of ``uncertainty._w_marginal``
+after its marginal.  Off the main thread, an array of at least
+``_SPARE_BYTES`` (32 MiB) is kept as a spare of that thread, and the
+next field of the same shape built on it reuses the array.  glibc's
+malloc maps every block of 32 MiB or more afresh and unmaps it when it
+is freed (its mmap threshold stops rising there), so without a spare
+each such field is zeroed and faulted in again page by page; a smaller
+array comes back from malloc's own free lists and is not kept.  A
+thread holds at most ``_MAX_SPARES`` (the two fields of one
+``moyal_check``); a new array of ``_SPARE_BYTES`` or more that no spare
+fits frees the thread's spares before it is allocated, so a thread
+never holds a spare of one size while building a field of another.
+Spares live as long as their thread: verify's pool threads end when
+``run_verification`` returns, and their spares with them.  The main
+thread keeps none, so a caller's fields there are allocated and freed
+as before.
 """
 
 from __future__ import annotations
@@ -117,6 +138,19 @@ _ROUTES = ("direct", "via_qolct", "via_qft")
 #: a window is taken as q * a(x1) * b(x2) when that product is within this
 #: many ulps of max |phi| of every sample (``_window_factors``)
 _FACTOR_ULPS = 8
+
+#: rows of (4) floats per chunk of the Moyal Gram sums: 512 KiB an operand
+_GRAM_ROWS = 1 << 14
+
+#: a discarded field array is kept as a spare from this size on
+#: (``_discard``); smaller ones come back from malloc's free lists
+_SPARE_BYTES = 32 << 20
+
+#: the most spares one thread holds: the two fields of one ``moyal_check``
+_MAX_SPARES = 2
+
+#: this thread's spare field arrays (``_field_array``, ``_discard``)
+_spares = threading.local()
 
 
 def _max_workers():
@@ -456,6 +490,34 @@ def _field_shape(plan: StqolctPlan):
     return plan.qolct.w1.n, plan.qolct.w2.n, plan.u1.n, plan.u2.n
 
 
+def _field_array(shape):
+    """An uninitialised float array: this thread's spare of that shape, if any.
+
+    A new array of ``_SPARE_BYTES`` or more frees the thread's spares first.
+    """
+    spares = getattr(_spares, "arrays", [])
+    # a generator, so that no loop variable holds a spare past the clear
+    match = next((k for k, spare in enumerate(spares) if spare.shape == shape), None)
+    if match is not None:
+        return spares.pop(match)
+    if math.prod(shape) * np.dtype(float).itemsize >= _SPARE_BYTES:
+        spares.clear()
+    return np.empty(shape)
+
+
+def _discard(*fields):
+    """Hand back the arrays of fields that no one reads again.
+
+    Off the main thread, each array of ``_SPARE_BYTES`` or more becomes
+    one of the thread's spares, the newest ``_MAX_SPARES`` kept.
+    """
+    if threading.current_thread() is threading.main_thread():
+        return
+    spares = _spares.__dict__.setdefault("arrays", [])
+    spares.extend(fld.data for fld in fields if fld.data.nbytes >= _SPARE_BYTES)
+    del spares[:-_MAX_SPARES]
+
+
 def _stream(f: GridSignal2D, plan: StqolctPlan, *reducers):
     """One pass of the row engine over f; no dense field is built."""
     _pass(_field_shape(plan), _engine(f, plan), *reducers)
@@ -501,7 +563,7 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
     _check_route(route)
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     qplan = plan.qolct
-    out = np.empty(_field_shape(plan) + (4,))
+    out = _field_array(_field_shape(plan) + (4,))
     if route == "via_qolct":
         def keep(i1, buffers):
             out[:, :, i1] = buffers.block
@@ -617,7 +679,8 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
 
     The left-hand side is the quadrature inner product sum S_f^phi
     conj(S_g^psi) dV of the two stride-1 fields, from their 4x4
-    component sums taken as one matrix product.  Summed over w2, the
+    component sums: one matrix product per chunk of ``_GRAM_ROWS``
+    coefficients, which stays in cache, added in order.  Summed over w2, the
     right kernels of a translation give a delta on the grid; summed over
     w1, the left i-complex kernels do the same for the span{1, i} part
     of the product between them, but not for its j and k parts.  So the
@@ -629,7 +692,10 @@ def moyal_check(f, g, phi, psi, qplan: QolctPlan) -> MoyalResult:
                                 stride=1) for win in (phi, psi)]
     fields = [stqolct_forward(sig, plan) for sig, plan in zip((f, g), plans)]
     # both fields are contiguous, so the reshapes are views, not copies
-    gram = fields[0].data.reshape(-1, 4).T @ fields[1].data.reshape(-1, 4)
+    a, b = (fld.data.reshape(-1, 4) for fld in fields)
+    gram = sum(a[k:k + _GRAM_ROWS].T @ b[k:k + _GRAM_ROWS]
+               for k in range(0, len(a), _GRAM_ROWS))
+    _discard(*fields)
     density = np.moveaxis(qmul(qconj(phi.data), psi.data), -1, 0)
     cover = np.moveaxis(_window_cover(plans[0], density), 0, -1)
     rhs = np.sum(qmul(qmul(f.data, cover), qconj(g.data)), axis=(0, 1)) * f.cell_area

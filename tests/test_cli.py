@@ -257,6 +257,9 @@ class TestVerify:
         {"param_sets": [{"A1": [0, 1, -1, 0, 0, float("inf")],
                          "A2": [0, 1, -1, 0, 0, 0]}]},
         {"seed": True},                                 # a JSON true is not an integer
+        {"param_sets": [{"name": "x", "A1": [0, 1, -1, 0, 0, 0], "A2": [0, 1, -1, 0, 0, 0]},
+                        {"name": "x", "A1": [0, -1, 1, 0, 0, 0],
+                         "A2": [0, -1, 1, 0, 0, 0]}]},  # set names must differ
     ])
     def test_mistyped_config_exits_2_before_any_task(self, monkeypatch, tmp_path, entry):
         monkeypatch.setattr("qtfa.cli.run_verification",

@@ -151,6 +151,29 @@ def _inverse_without_b_weight(monkeypatch):
     monkeypatch.setattr(qolct, "_channel_profiles", mutant)
 
 
+def _forward_skips_a_row_onto_a_stale_spare(monkeypatch):
+    # stqolct_forward leaves its u1 = 0 row unwritten, and every discarded
+    # field is kept as a spare (the 16-point Moyal and corollary fields
+    # are far below 32 MiB), so a reused array holds that row from an
+    # earlier field, at times the same field of another Moyal record's
+    # call: a stale spare must not pass for the missing row
+    stream = stqolct._stream
+
+    def mutant(f, plan, *reducers):
+        def skipping(reducer):
+            def reduce(i1, buffers):
+                if i1 != plan.u1.n // 2:
+                    reducer(i1, buffers)
+            return reduce
+
+        stream(f, plan, *map(skipping, reducers))
+
+    # only stqolct_forward reaches _stream through the module; verify's
+    # streamed passes hold their own reference
+    monkeypatch.setattr(stqolct, "_stream", mutant)
+    monkeypatch.setattr(stqolct, "_SPARE_BYTES", 0)
+
+
 def _transposed_moyal_gram(monkeypatch):
     # the Moyal Gram sums pair the fields the other way round
     conj_product_sum = stqolct._conj_product_sum
@@ -170,6 +193,7 @@ MUTANTS = {
     "m-channel-unconjugated": _m_channel_unconjugated,
     "inverse-without-b-weight": _inverse_without_b_weight,
     "transposed-moyal-gram": _transposed_moyal_gram,
+    "forward-skips-a-row-onto-a-stale-spare": _forward_skips_a_row_onto_a_stale_spare,
 }
 
 

@@ -1,6 +1,8 @@
+import gc
 import os
 import sys
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,10 +17,12 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   moyal_check, qconj, qmul, qnorm, qolct_forward, qolct_inverse,
                   quat, stqolct_energy, stqolct_forward, stqolct_reconstruct,
                   translate_window)
+from qtfa import stqolct, uncertainty
 from qtfa.errors import ParameterError, ShapeError
-from qtfa.stqolct import (_FieldSums, _max_workers, _pass, _Reconstruction, _replay,
-                          _stream, _window_factors, _window_terms)
+from qtfa.stqolct import (_discard, _FieldSums, _max_workers, _pass, _Reconstruction,
+                          _replay, _stream, _window_factors, _window_terms)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
+from qtfa.verify import RunConfig, default_config_dict, run_verification
 
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
 SHEAR = OlctParams(1, 1, 0, 1, 0, 0)
@@ -711,3 +715,133 @@ class TestRowPool:
         stqolct_reconstruct(stqolct_forward(f, plan))
         moyal_check(f, f, plan.window, plan.window, plan.qolct)
         assert row_pools == []
+
+
+class TestSpares:
+    """Dense fields handed back by ``_discard`` and reused by ``_field_array``.
+
+    ``_SPARE_BYTES`` is lowered to 1 byte, so that the small fields here
+    are kept as the 32 MiB ones are.
+    """
+
+    @pytest.fixture(autouse=True)
+    def keep_every_size(self, monkeypatch):
+        monkeypatch.setattr(stqolct, "_SPARE_BYTES", 1)
+
+    @staticmethod
+    def moyal_inputs(n=8):
+        ax = Axis.centered(n, 4.0)
+        f = gaussian_signal(ax, ax, 1.0)
+        g = GridSignal2D(ax, ax, qmul(chirp_signal(ax, ax, 0.3, -0.2).data, f.data))
+        phi = gaussian_signal(ax, ax, 2.0)
+        psi = gaussian_signal(ax, ax, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
+        return f, g, phi, psi, QolctPlan.for_axes(UNIT_B, MIXED, ax, ax)
+
+    @staticmethod
+    def on_one_worker(*calls):
+        """Run the calls in order on one worker thread; their results."""
+        with ThreadPoolExecutor(1) as pool:
+            return [pool.submit(call).result(timeout=60) for call in calls]
+
+    @staticmethod
+    def built_arrays(monkeypatch):
+        """The data arrays of the fields stqolct_forward returns, in order."""
+        arrays = []
+        forward = stqolct.stqolct_forward
+
+        def recorded(*args, **kwargs):
+            field = forward(*args, **kwargs)
+            arrays.append(field.data)
+            return field
+
+        monkeypatch.setattr(stqolct, "stqolct_forward", recorded)
+        monkeypatch.setattr(uncertainty, "stqolct_forward", recorded)
+        return arrays
+
+    def test_a_second_moyal_check_on_a_worker_reuses_the_first_ones_arrays(self,
+                                                                          monkeypatch):
+        f, g, phi, psi, qplan = self.moyal_inputs()
+        arrays = self.built_arrays(monkeypatch)
+        # the second call pairs other signals and windows, so every value
+        # it reads from a reused array must have been written again
+        first, second = self.on_one_worker(lambda: moyal_check(f, g, phi, psi, qplan),
+                                           lambda: moyal_check(g, f, psi, phi, qplan))
+        assert len(arrays) == 4
+        assert np.shares_memory(arrays[2], arrays[0])
+        assert np.shares_memory(arrays[3], arrays[1])
+        fresh = moyal_check(g, f, psi, phi, qplan)
+        assert np.array_equal(second.lhs, fresh.lhs)
+        assert np.array_equal(second.rhs, fresh.rhs)
+        assert np.array_equal(first.lhs, moyal_check(f, g, phi, psi, qplan).lhs)
+
+    def test_the_main_thread_keeps_no_spare(self, monkeypatch):
+        f, g, phi, psi, qplan = self.moyal_inputs()
+        arrays = self.built_arrays(monkeypatch)
+        moyal_check(f, g, phi, psi, qplan)
+        plan = StqolctPlan.create(UNIT_B, MIXED, f.ax1, f.ax2, phi, stride=1)
+        donoho_stark_check(f, plan, 0.1, 0.1)
+        moyal_check(f, g, phi, psi, qplan)
+        assert getattr(stqolct._spares, "arrays", []) == []
+        assert len(arrays) == 5
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays)
+                       for b in arrays[:k])
+
+    def test_a_large_field_of_another_shape_frees_the_spares_first(self, monkeypatch):
+        f, g, phi, psi, qplan = self.moyal_inputs(8)
+        big = gaussian_signal(Axis.centered(12, 4.0), Axis.centered(12, 4.0), 1.0)
+        plan = StqolctPlan.create(UNIT_B, MIXED, big.ax1, big.ax2, big, stride=1)
+        shape = stqolct._field_shape(plan) + (4,)
+        empty, alive = np.empty, []
+
+        def watched(*args, **kwargs):
+            if args and args[0] == shape:
+                alive.append(sum(ref() is not None for ref in refs))
+            return empty(*args, **kwargs)
+
+        def spares_then_big():
+            moyal_check(f, g, phi, psi, qplan)
+            refs.extend(weakref.ref(a) for a in stqolct._spares.arrays)
+            monkeypatch.setattr(np, "empty", watched)
+            stqolct_forward(big, plan)
+            return len(stqolct._spares.arrays)
+
+        refs = []
+        assert self.on_one_worker(spares_then_big) == [0]
+        assert len(refs) == 2
+        # the two 8-point spares were freed before the 12-point field was
+        # allocated, not after
+        assert alive == [0]
+
+    def test_a_thread_never_holds_more_than_two_spares(self):
+        f, g, phi, psi, qplan = self.moyal_inputs()
+        plan = StqolctPlan.create(UNIT_B, MIXED, f.ax1, f.ax2, phi, stride=1)
+        held = []
+
+        def count():
+            held.append(len(stqolct._spares.arrays))
+
+        self.on_one_worker(lambda: moyal_check(f, g, phi, psi, qplan), count,
+                           lambda: donoho_stark_check(f, plan, 0.1, 0.1), count,
+                           lambda: _discard(*(stqolct_forward(f, plan) for _ in range(3))),
+                           count)
+        assert held == [2, 2, 2]
+
+    def test_no_spare_is_alive_after_run_verification(self, monkeypatch):
+        monkeypatch.setenv("QTF_THREADS", "2")
+        refs, reused = [], []
+        field_array = stqolct._field_array
+
+        def recorded(shape):
+            array = field_array(shape)
+            reused.append(any(ref() is array for ref in refs))
+            refs.append(weakref.ref(array))
+            return array
+
+        monkeypatch.setattr(stqolct, "_field_array", recorded)
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        results = run_verification(config, only=["moyal-shared-window", "moyal-general",
+                                                 "donoho-stark-support"])
+        assert len(results) == 9
+        assert any(reused)
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

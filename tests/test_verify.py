@@ -44,6 +44,18 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("names", [("x", "x"), ("set1", None)])
+    def test_a_repeated_set_name_is_rejected(self, names):
+        # two sets named x used to write records both tagged {"set": "x"};
+        # the second set's default name, set1, collides with an explicit one
+        fourier = [0, 1, -1, 0, 0, 0]
+        raw = default_config_dict()
+        raw["param_sets"] = [{"A1": fourier, "A2": fourier} if name is None
+                             else {"name": name, "A1": fourier, "A2": fourier}
+                             for name in names]
+        with pytest.raises(ParameterError, match="used twice"):
+            RunConfig.from_dict(raw)
+
 
 class TestRunVerification:
     def test_small_corpus_passes(self):
