@@ -176,7 +176,8 @@ def _cmd_verify(args):
         if value is not None:
             raw[key] = value
     config = RunConfig.from_dict(raw)
-    only = [s.strip() for s in args.only.split(",")] if args.only else None
+    only = (None if args.only is None
+            else [s.strip() for s in args.only.split(",") if s.strip()])
     results = run_verification(config, only=only)
     write_report(results, args.out)
     failures = gated_failures(results)

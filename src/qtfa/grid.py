@@ -31,6 +31,9 @@ __all__ = [
     "translate_window",
 ]
 
+# Axis.is_symmetric's tolerance on the centre, relative to the axis length
+_SYMMETRY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -58,10 +61,10 @@ class Axis:
     def coords(self):
         return self.min + self.step * np.arange(self.n)
 
-    def is_symmetric(self, tol=1e-9):
+    def is_symmetric(self):
         """True when the sample set is mirror symmetric about 0."""
         center = self.min + (self.n - 1) * self.step / 2.0
-        return abs(center) <= tol * self.step * self.n
+        return abs(center) <= _SYMMETRY_TOL * self.step * self.n
 
 
 def frequency_axis(ax: Axis, bandwidth_scale: float = 1.0) -> Axis:

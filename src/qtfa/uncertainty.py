@@ -57,6 +57,9 @@ _ENERGY_SLACK = 1e-12
 # the Euler-Mascheroni constant, for log_up_constant's closed form
 _EULER_GAMMA = 0.5772156649015329
 
+# the step alpha = h of log_up_check's difference quotient
+_LOG_UP_H = 1e-3
+
 
 @dataclass(frozen=True)
 class EnergyMap:
@@ -289,15 +292,14 @@ def log_up_constant() -> float:
     return -_EULER_GAMMA - math.log(2.0)
 
 
-def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None = None,
-                 h: float = 1e-3):
+def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None = None):
     """Logarithmic uncertainty bound, two variants.
 
     Returns (literal, derivative): ``literal`` evaluates the printed
     inequality as stated; ``derivative`` evaluates the one-sided
-    difference quotient of the weighted-norm functional at alpha = h,
-    which must be <= 0 up to tolerance because alpha = 0 is an equality.
-    The derivative variant is the gated one.
+    difference quotient of the weighted-norm functional at alpha = h =
+    ``_LOG_UP_H``, which must be <= 0 up to tolerance because alpha = 0 is
+    an equality.  The derivative variant is the gated one.
     """
     _require_stride1(plan)
     marginal = _w_marginal(f, plan, marginal)
@@ -320,6 +322,7 @@ def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None 
         passed=bool(lhs_lit >= rhs_lit),
     )
 
+    h = _LOG_UP_H
     quotient = (_pitt_lhs(marginal, w_radii, h) - _pitt_rhs(f, plan, h)) / h
     tol = 1e-6
     derivative = InequalityResult(

@@ -9,21 +9,20 @@ All margins are oriented so that nonnegative (within the recorded
 tolerance) means pass.  A handful of records are diagnostics that never
 gate the exit status; everything else must pass.
 
-A selection (``only``) picks the records that are reported: a task that
-emits a selected name computes all its records, in order, and one name
-filter at the end keeps the selected ones.  Only four costly inputs of
-a parameter set wait for a selected record that reads them: the
-streamed field pass, its reconstruction, the two streamed
-reconstructions of reconstruction-exact and the exact-support
-corollary's dense field.
-
-Tasks are independent and run on a small thread pool (capped by the
-QTF_THREADS environment variable); the row passes inside a task run their
-rows inline.  Each parameter set is five tasks, queued in report order:
-its ``params`` records, then one task per Moyal record (each one
-``moyal_check`` call, the costliest single records of a set), then its
-``beurling-value`` record.  Each check is deterministic for a fixed config,
-so results do not depend on the degree of parallelism.
+One table, ``_CHECKS``, gives each pool task its check and the record
+names it emits.  Tasks are independent and run on a small thread pool
+(capped by the QTF_THREADS environment variable); the row passes inside a
+task run their rows inline.  Each parameter set is eight tasks, queued in
+report order: its ``params`` records (the QOLCT and the windowed
+transform's routes against their oracles), ``reconstruction-exact``, the
+``field`` records (one streamed pass with its sums and its reconstruction
+together), the exact-support corollary (its own dense field), one task
+per Moyal record (one ``moyal_check`` call each) and ``beurling-value``.
+So each costly input of a set is a task of its own, and a selection
+(``only``) picks tasks alone: a task runs when it emits a selected name,
+computes all its records, and one name filter at the end keeps the
+selected ones.  Each check is deterministic for a fixed config, so
+results do not depend on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,33 +58,8 @@ UNGATED_CHECKS = frozenset({
     "beurling-value",
 })
 
-#: records of the streamed per-set field pass
-_FIELD_CHECKS = ("boundedness", "energy", "isometry", "reconstruction", "donoho-stark",
-                 "pitt", "pitt-equality", "log-up-literal", "log-up-derivative",
-                 "hardy-field")
-
-#: the Moyal identity records, one pool task and one moyal_check call each
-_MOYAL_CHECKS = ("moyal-shared-window", "moyal-shared-signal", "moyal-general")
-
 #: the amplitude of the quaternion windows: psi, and one window of stqolct-routes
 _PSI_AMPLITUDE = quat(0.8, 0.3, 0.0, 0.1)
-
-#: every record name, by the task that emits it (a task label is a key, or
-#: a key and a parameter set name); a new record is its emission plus an
-#: entry here, and one in _FIELD_CHECKS if it reads the streamed pass
-_CHECKS = {
-    "quat-algebra": ("quat-table", "quat-norm-multiplicative",
-                     "quat-conj-antiautomorphism", "quat-scalar-cyclic"),
-    "special-fn": ("pitt-constant-zero", "pitt-constant-continuity"),
-    "qft": ("qft-plancherel", "qft-roundtrip", "qft-oracle"),
-    "hardy": ("hardy-qft", "hardy-chirp"),
-    "params": ("qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes",
-               "reconstruction-exact", *_FIELD_CHECKS, "donoho-stark-support"),
-    **{name: (name,) for name in _MOYAL_CHECKS},
-    "beurling": ("beurling-value",),
-}
-
-_KNOWN_CHECKS = frozenset(name for names in _CHECKS.values() for name in names)
 
 #: the corpus: every grid's half-width, the field window's Gaussian rate,
 #: the signals' Gaussian rates and chirp, and each check's levels
@@ -148,6 +123,8 @@ class RunConfig:
                      seed=_integer("seed", merged["seed"]))
         if config.n < 4 or config.n % 2:
             raise ParameterError(f"n must be even and at least 4, got {config.n}")
+        if config.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {config.seed}")
         return config
 
 
@@ -237,7 +214,7 @@ def _check_quat_algebra(config):
     return results
 
 
-def _check_special_fn():
+def _check_special_fn(config):
     # the constant's local slope at alpha=0.5 is ~107.5, so the increment
     # at h=1e-4 sits just above 1e-2; bound accordingly and check the
     # increment actually shrinks linearly with h
@@ -281,7 +258,7 @@ def _check_qft(config):
     return results
 
 
-def _check_hardy():
+def _check_hardy(config):
     results = []
     ax1, ax2 = _axes(_HARDY_N)
     plan = QftPlan.for_axes(ax1, ax2)
@@ -302,7 +279,7 @@ def _check_hardy():
     return results
 
 
-def _check_beurling(pset):
+def _check_beurling(config, pset):
     name, a1, a2 = pset
     ax1 = Axis.centered(16, 4.0)
     ax2 = Axis.centered(16, 4.0)
@@ -317,11 +294,10 @@ def _check_beurling(pset):
         passed=bool(np.isfinite(res.value)))]
 
 
-def _check_param_set(config, pset, selected):
+def _check_params(config, pset):
     name, a1, a2 = pset
     results = []
     ax1, ax2 = _axes(config.n)
-    want = lambda *names: selected is None or any(s in selected for s in names)
     plan = QolctPlan.for_axes(a1, a2, ax1, ax2)
     for alpha in _GAUSSIAN_ALPHAS:
         f = gaussian_signal(ax1, ax2, alpha)
@@ -342,7 +318,7 @@ def _check_param_set(config, pset, selected):
     results.append(_below("qolct-oracle", {"set": name, "n": _ORACLE_N},
                           worst, 0.0, 1e-9))
 
-    f = _rand_signal(oax1, oax2, np.random.default_rng(config.seed + 3000))
+    f, windows = _oracle_inputs(config)
     window = gaussian_signal(oax1, oax2, _WINDOW_ALPHA)
     plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
     fields = {r: stqolct_forward(f, plan, r).data
@@ -354,106 +330,38 @@ def _check_param_set(config, pset, selected):
     # engine, and the chirp-Gaussian, which does not factor, runs the
     # two-axis engine on all four window terms; only against direct, as
     # via_qft costs more than both together
-    windows = {"psi": gaussian_signal(oax1, oax2, _WINDOW_ALPHA, amplitude=_PSI_AMPLITUDE),
-               "chirp-gauss": _chirp_gaussian(oax1, oax2)}
     for window in windows.values():
         plan = StqolctPlan.create(a1, a2, oax1, oax2, window, stride=4)
         worst = max(worst, _max_abs(stqolct_forward(f, plan, "direct").data,
                                     stqolct_forward(f, plan, "via_qolct").data))
     results.append(_below("stqolct-routes", {"set": name, "n": _ORACLE_N, "stride": 4},
                           worst, 0.0, 1e-9))
-    if want("reconstruction-exact"):
-        for label, window in windows.items():
-            results.append(_reconstruction_exact(f, a1, a2, window, label, name))
-
-    window = gaussian_signal(ax1, ax2, _WINDOW_ALPHA)
-    plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=1)
-    f = gaussian_signal(ax1, ax2, 1.0)
-    # one streamed pass of the field feeds every field record; the
-    # exact-support corollary builds its own field and needs no pass
-    streamed = want(*_FIELD_CHECKS)
-    if streamed:
-        sums = _FieldSums(plan)
-        rec = _Reconstruction(plan) if want("reconstruction") else None
-        _stream(f, plan, *(r for r in (sums, rec) if r is not None))
-        marginal = _marginal_map(sums)
-        # read the reconstruction now, so that the arrays it sums into
-        # are not held through the dense fields built below
-        rebuilt = rec.result() if rec is not None else None
-        del rec
-        bound = l2_norm(f) * l2_norm(window) / (2 * math.pi * math.sqrt(abs(a1.b * a2.b)))
-        results.append(_below("boundedness", {"set": name}, sums.sup, bound, 1e-9))
-        win_sq, f_sq = l2_norm(window) ** 2, l2_norm(f) ** 2
-        results.append(_close("energy", {"set": name}, sums.energy, win_sq * f_sq, 1e-3))
-        results.append(_close("isometry", {"set": name}, sums.energy / win_sq, f_sq, 1e-3))
-        if rebuilt is not None:
-            results.append(_below("reconstruction", {"set": name},
-                                  _rel_l2(rebuilt, f), 0.0, 1e-3))
-        for eps in _EPS:
-            res = donoho_stark_check(f, plan, eps, eps, marginal=marginal)
-            res.params["set"] = name
-            results.append(res)
-    if want("donoho-stark-support"):
-        results.append(_donoho_stark_corollary(plan, f, name))
-    if streamed:
-        for alpha in _PITT_ALPHAS:
-            res = pitt_check(f, plan, alpha, marginal=marginal)
-            res.params["set"] = name
-            results.append(res)
-            if alpha == 0.0:
-                results.append(_close("pitt-equality", {"set": name}, res.lhs, res.rhs, 1e-3))
-        for res in log_up_check(f, plan, marginal=marginal):
-            res.params["set"] = name
-            results.append(res)
-        results.extend(_hardy_field(plan, f, sums, name))
     return results
 
 
-def _chirp_gaussian(ax1, ax2):
-    """The corpus chirp times a Gaussian of rate 0.75.
-
-    It is the Moyal records' second signal, and a window that does not
-    factor (``stqolct._window_factors``), so it runs the two-axis engine.
-    """
-    return GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **_CHIRP).data,
-                                       gaussian_signal(ax1, ax2, 0.75).data))
-
-
-def _reconstruction_exact(f, a1, a2, window, label, name):
-    # A deliberate oracle: the streamed stride-1 reconstruction of a
-    # random f against its grid-exact value f * sum_u |phi(x - u)|^2 du /
-    # ||phi||^2 (the fast inverse undoes the fast forward on the grid, and
-    # g * conj(phi) * phi = g |phi|^2).  Unlike the reconstruction record,
-    # it sees every translation row and a quaternion window's q.  On the
-    # default corpus, seeds 0 to 3, the residual measured at most 3.3e-15,
-    # 4.0e-15 and 1.2e-14 at _ORACLE_N = 16, 32 and 64.
-    plan = StqolctPlan.create(a1, a2, f.ax1, f.ax2, window, stride=1)
-    rec = _Reconstruction(plan)
-    _stream(f, plan, rec)
-    cover = _window_cover(plan, np.sum(window.data ** 2, axis=-1))
-    expect = f.data * (cover / l2_norm(window) ** 2)[:, :, None]
-    return _below("reconstruction-exact", {"set": name, "window": label, "n": f.ax1.n},
-                  _rel_l2(rec.result(), GridSignal2D(f.ax1, f.ax2, expect)), 0.0, 1e-12)
-
-
-def _donoho_stark_corollary(plan, f, name):
-    # exact-support case: compactly truncated signal, eps = 0 on both sides
-    ax1, ax2 = plan.ax1, plan.ax2
-    radii = np.hypot(ax1.coords[:, None], ax2.coords[None, :])
-    data = f.data.copy()
-    data[radii > _EXTENT / 2.0] = 0.0
-    truncated = GridSignal2D(ax1, ax2, data)
-    res = donoho_stark_check(truncated, plan, 0.0, 0.0)
-    res.name = "donoho-stark-support"
-    res.params["set"] = name
-    return res
-
-
-def _hardy_field(plan, f, sums, name):
+def _check_field(config, pset):
+    # one streamed pass of the field feeds every record of this task
+    name, a1, a2 = pset
+    plan, f = _field_inputs(config, pset)
+    sums, rec = _FieldSums(plan), _Reconstruction(plan)
+    _stream(f, plan, sums, rec)
+    marginal = _marginal_map(sums)
+    bound = l2_norm(f) * l2_norm(plan.window) / (2 * math.pi * math.sqrt(abs(a1.b * a2.b)))
+    win_sq, f_sq = l2_norm(plan.window) ** 2, l2_norm(f) ** 2
+    results = [_below("boundedness", {"set": name}, sums.sup, bound, 1e-9),
+               _close("energy", {"set": name}, sums.energy, win_sq * f_sq, 1e-3),
+               _close("isometry", {"set": name}, sums.energy / win_sq, f_sq, 1e-3),
+               _below("reconstruction", {"set": name}, _rel_l2(rec.result(), f), 0.0, 1e-3)]
+    results += [donoho_stark_check(f, plan, eps, eps, marginal=marginal) for eps in _EPS]
+    for alpha in _PITT_ALPHAS:
+        res = pitt_check(f, plan, alpha, marginal=marginal)
+        results.append(res)
+        if alpha == 0.0:
+            results.append(_close("pitt-equality", {"set": name}, res.lhs, res.rhs, 1e-3))
+    results += log_up_check(f, plan, marginal=marginal)
     # decay fits on the coefficient magnitude at u = 0 and at the
     # energy-maximizing translation (the first in row-major order), each
     # slice one fast QOLCT of its modified signal; informational only
-    results = []
     p1, p2 = plan.qolct.params1, plan.qolct.params2
     zero = (plan.ax1.n // 2 // plan.stride, plan.ax2.n // 2 // plan.stride)
     best = np.unravel_index(int(np.argmax(sums.u_energy)), sums.u_energy.shape)
@@ -466,13 +374,81 @@ def _hardy_field(plan, f, sums, name):
             results.append(InequalityResult(
                 name="hardy-field",
                 params={"set": name, "u": label, "beta": fit.beta, "r2": fit.r2},
-                lhs=fit.r2, rhs=0.0, margin=fit.r2, tolerance=0.0,
-                passed=True))
+                lhs=fit.r2, rhs=0.0, margin=fit.r2, tolerance=0.0, passed=True))
         except ParameterError as exc:
             results.append(InequalityResult(
                 name="hardy-field", params={"set": name, "u": label, "note": str(exc)},
                 lhs=0.0, rhs=0.0, margin=0.0, tolerance=0.0, passed=True))
+    for res in results:  # the uncertainty checks' records take the set's name last
+        res.params["set"] = name
     return results
+
+
+def _field_inputs(config, pset):
+    """The stride-1 plan of the field records, and their signal."""
+    _, a1, a2 = pset
+    ax1, ax2 = _axes(config.n)
+    window = gaussian_signal(ax1, ax2, _WINDOW_ALPHA)
+    return (StqolctPlan.create(a1, a2, ax1, ax2, window, stride=1),
+            gaussian_signal(ax1, ax2, 1.0))
+
+
+def _oracle_inputs(config):
+    """The random signal of stqolct-routes and reconstruction-exact, and
+    their quaternion-amplitude and two-axis windows, on the oracle grid."""
+    ax1, ax2 = _axes(_ORACLE_N)
+    f = _rand_signal(ax1, ax2, np.random.default_rng(config.seed + 3000))
+    return f, {"psi": gaussian_signal(ax1, ax2, _WINDOW_ALPHA, amplitude=_PSI_AMPLITUDE),
+               "chirp-gauss": _chirp_gaussian(ax1, ax2)}
+
+
+def _chirp_gaussian(ax1, ax2):
+    """The corpus chirp times a Gaussian of rate 0.75.
+
+    It is the Moyal records' second signal, and a window that does not
+    factor (``stqolct._window_factors``), so it runs the two-axis engine.
+    """
+    return GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **_CHIRP).data,
+                                       gaussian_signal(ax1, ax2, 0.75).data))
+
+
+def _check_reconstruction_exact(config, pset):
+    # A deliberate oracle: the streamed stride-1 reconstruction of a
+    # random f against its grid-exact value f * sum_u |phi(x - u)|^2 du /
+    # ||phi||^2 (the fast inverse undoes the fast forward on the grid, and
+    # g * conj(phi) * phi = g |phi|^2).  Unlike the reconstruction record,
+    # it sees every translation row and a quaternion window's q.  On the
+    # default corpus, seeds 0 to 3, the residual measured at most 3.3e-15,
+    # 4.0e-15 and 1.2e-14 at _ORACLE_N = 16, 32 and 64.
+    name, a1, a2 = pset
+    f, windows = _oracle_inputs(config)
+    results = []
+    for label, window in windows.items():
+        plan = StqolctPlan.create(a1, a2, f.ax1, f.ax2, window, stride=1)
+        rec = _Reconstruction(plan)
+        _stream(f, plan, rec)
+        cover = _window_cover(plan, np.sum(window.data ** 2, axis=-1))
+        expect = f.data * (cover / l2_norm(window) ** 2)[:, :, None]
+        results.append(_below(
+            "reconstruction-exact", {"set": name, "window": label, "n": f.ax1.n},
+            _rel_l2(rec.result(), GridSignal2D(f.ax1, f.ax2, expect)), 0.0, 1e-12))
+    return results
+
+
+def _check_support(config, pset):
+    # exact-support case: compactly truncated signal, eps = 0 on both
+    # sides; the corollary builds its own dense field, and needs no pass
+    name = pset[0]
+    plan, f = _field_inputs(config, pset)
+    ax1, ax2 = plan.ax1, plan.ax2
+    radii = np.hypot(ax1.coords[:, None], ax2.coords[None, :])
+    data = f.data.copy()
+    data[radii > _EXTENT / 2.0] = 0.0
+    truncated = GridSignal2D(ax1, ax2, data)
+    res = donoho_stark_check(truncated, plan, 0.0, 0.0)
+    res.name = "donoho-stark-support"
+    res.params["set"] = name
+    return [res]
 
 
 def _check_moyal(config, pset, label):
@@ -498,40 +474,56 @@ def _check_moyal(config, pset, label):
     return [_below(label, {"set": name}, err, 0.0, 1e-12)]
 
 
+#: every pool task by key, in report order: (check, per set, record names).
+#: A check takes (config), or (config, pset) for a task of each parameter
+#: set, labelled "key:set"; a new record is its emission plus its name here
+_CHECKS = {
+    "quat-algebra": (_check_quat_algebra, False, (
+        "quat-table", "quat-norm-multiplicative", "quat-conj-antiautomorphism",
+        "quat-scalar-cyclic")),
+    "special-fn": (_check_special_fn, False, (
+        "pitt-constant-zero", "pitt-constant-continuity")),
+    "qft": (_check_qft, False, ("qft-plancherel", "qft-roundtrip", "qft-oracle")),
+    "hardy": (_check_hardy, False, ("hardy-qft", "hardy-chirp")),
+    "params": (_check_params, True, (
+        "qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes")),
+    "reconstruction-exact": (_check_reconstruction_exact, True, ("reconstruction-exact",)),
+    "field": (_check_field, True, (
+        "boundedness", "energy", "isometry", "reconstruction", "donoho-stark", "pitt",
+        "pitt-equality", "log-up-literal", "log-up-derivative", "hardy-field")),
+    "donoho-stark-support": (_check_support, True, ("donoho-stark-support",)),
+    **{label: (partial(_check_moyal, label=label), True, (label,))
+       for label in ("moyal-shared-window", "moyal-shared-signal", "moyal-general")},
+    "beurling": (_check_beurling, True, ("beurling-value",)),
+}
+
+_KNOWN_CHECKS = frozenset(name for _, _, names in _CHECKS.values() for name in names)
+
+
 def run_verification(config: RunConfig, only=None):
     """Run the corpus and return results in deterministic task order.
 
-    Every name in ``only`` must be a registered check; otherwise the run
-    is a ParameterError.  Each registered name emits records on every
-    config, as the corpus lists are fixed and nonempty.
+    ``only``, when given, selects records by name: it must name at least
+    one check, and every name must be registered; otherwise the run is a
+    ParameterError.  Each registered name emits records on every config,
+    as the corpus lists are fixed and nonempty.
     """
-    selected = set(only) if only else None
+    selected = None if only is None else set(only)
     if selected is not None:
+        if not selected:
+            raise ParameterError("the selection names no checks")
         unknown = selected - _KNOWN_CHECKS
         if unknown:
             raise ParameterError(f"unknown check names: {sorted(unknown)}")
-    tasks = [
-        ("quat-algebra", lambda: _check_quat_algebra(config)),
-        ("special-fn", _check_special_fn),
-        ("qft", lambda: _check_qft(config)),
-        ("hardy", _check_hardy),
-    ]
-    for pset in config.param_sets:
-        tasks.append((f"params:{pset[0]}",
-                      lambda p=pset: _check_param_set(config, p, selected)))
-        for label in _MOYAL_CHECKS:
-            tasks.append((f"{label}:{pset[0]}",
-                          lambda p=pset, label=label: _check_moyal(config, p, label)))
-        tasks.append((f"beurling:{pset[0]}", lambda p=pset: _check_beurling(p)))
-
-    if selected is not None:
-        tasks = [t for t in tasks
-                 if not selected.isdisjoint(_CHECKS[t[0].split(":", 1)[0]])]
-
+    checks = {key: check for key, check in _CHECKS.items()
+              if selected is None or not selected.isdisjoint(check[2])}
+    tasks = [(key, run, (config,)) for key, (run, per_set, _) in checks.items() if not per_set]
+    tasks += [(f"{key}:{pset[0]}", run, (config, pset)) for pset in config.param_sets
+              for key, (run, per_set, _) in checks.items() if per_set]
     results = []
     # the row passes inside a task run inline: they are not on the main thread
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for chunk in pool.map(lambda item: item[1](), tasks):
+        for chunk in pool.map(lambda task: task[1](*task[2]), tasks):
             results.extend(chunk)
     if selected is not None:
         results = [r for r in results if r.name in selected]

@@ -243,6 +243,16 @@ class TestVerify:
                    "--out", report) == 2
         assert not report.exists()
 
+    @pytest.mark.parametrize("only", ["", " , "])
+    def test_empty_only_exits_2_before_any_task(self, monkeypatch, tmp_path, capsys, only):
+        # an empty selection used to run every record and exit 0
+        monkeypatch.setattr("qtfa.verify.ThreadPoolExecutor",
+                            lambda *args, **kwargs: pytest.fail("a task ran"))
+        report = tmp_path / "r.jsonl"
+        assert run("verify", "--n", 16, "--only", only, "--out", report) == 2
+        assert "names no checks" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("entry", [
         {"n": 32.9},                                    # an integer key, not integral
         {"n": "abc"},
@@ -260,6 +270,7 @@ class TestVerify:
         {"param_sets": [{"name": "x", "A1": [0, 1, -1, 0, 0, 0], "A2": [0, 1, -1, 0, 0, 0]},
                         {"name": "x", "A1": [0, -1, 1, 0, 0, 0],
                          "A2": [0, -1, 1, 0, 0, 0]}]},  # set names must differ
+        {"seed": -1},                                   # default_rng takes no negative seed
     ])
     def test_mistyped_config_exits_2_before_any_task(self, monkeypatch, tmp_path, entry):
         monkeypatch.setattr("qtfa.cli.run_verification",

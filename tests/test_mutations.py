@@ -1,8 +1,8 @@
 """Mutation audit: each defect below must fail at least one gated record.
 
-Each mutant is monkeypatched into the package and the parameter-set and
-Moyal records of the default corpus are run at n=16.  The records that
-caught each mutant are printed (``pytest -s``).
+Each mutant is monkeypatched into the package and the records of every
+per-parameter-set task of the default corpus are run at n=16.  The
+records that caught each mutant are printed (``pytest -s``).
 
 Not on the list: a ``_FieldSums`` that zeroes its last row (marginal
 slot, ``u_energy`` row and peak) still gives no gated failure, as the
@@ -15,8 +15,8 @@ import pytest
 
 from qtfa import qft, qolct, stqolct
 from qtfa.quaternion import qconj
-from qtfa.verify import (_CHECKS, _MOYAL_CHECKS, RunConfig, default_config_dict,
-                         gated_failures, run_verification)
+from qtfa.verify import (_CHECKS, RunConfig, default_config_dict, gated_failures,
+                         run_verification)
 
 
 def _conj_q_reconstruction(monkeypatch):
@@ -201,7 +201,7 @@ MUTANTS = {
 def test_each_mutant_fails_a_gated_record(monkeypatch, mutant):
     MUTANTS[mutant](monkeypatch)
     config = RunConfig.from_dict({**default_config_dict(), "n": 16})
-    only = _CHECKS["params"] + _MOYAL_CHECKS
+    only = [name for _, per_set, names in _CHECKS.values() if per_set for name in names]
     failures = gated_failures(run_verification(config, only=only))
     caught = sorted({r.name for r in failures})
     print(f"{mutant}: {len(failures)} gated failures in {caught}")

@@ -44,6 +44,12 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("seed", [-1, -2**40])
+    def test_a_negative_seed_is_rejected(self, seed):
+        # it used to reach numpy's default_rng and fail there, in a task
+        with pytest.raises(ParameterError, match="seed must be nonnegative"):
+            RunConfig.from_dict({"seed": seed})
+
     @pytest.mark.parametrize("names", [("x", "x"), ("set1", None)])
     def test_a_repeated_set_name_is_rejected(self, names):
         # two sets named x used to write records both tagged {"set": "x"};
@@ -67,6 +73,13 @@ class TestRunVerification:
         results = run_verification(small_config(), only=["donoho-stark"])
         assert results
         assert {r.name for r in results} == {"donoho-stark"}
+
+    def test_empty_selection_rejected(self, monkeypatch):
+        # an empty selection used to run every record
+        monkeypatch.setattr(verify, "ThreadPoolExecutor",
+                            lambda *args, **kwargs: pytest.fail("a task ran"))
+        with pytest.raises(ParameterError, match="names no checks"):
+            run_verification(small_config(), only=[])
 
     def test_unknown_only_name_rejected(self):
         # a filter that matches nothing used to run 0 checks and pass
@@ -101,9 +114,9 @@ class TestRunVerification:
                       "reconstruction-exact", "boundedness", "energy", "isometry",
                       "reconstruction"]
                    + ["donoho-stark"] * 3
-                   + ["donoho-stark-support", "pitt", "pitt-equality", "pitt", "pitt",
-                      "pitt", "log-up-literal", "log-up-derivative", "hardy-field",
-                      "hardy-field", "moyal-shared-window", "moyal-shared-signal",
+                   + ["pitt", "pitt-equality", "pitt", "pitt", "pitt", "log-up-literal",
+                      "log-up-derivative", "hardy-field", "hardy-field",
+                      "donoho-stark-support", "moyal-shared-window", "moyal-shared-signal",
                       "moyal-general", "beurling-value"])
         config = RunConfig.from_dict({**default_config_dict(), "n": 16})
         results = run_verification(config)
@@ -133,15 +146,11 @@ class TestRunVerification:
         assert len(results) == len(config.param_sets)
         assert len(calls) == (len(config.param_sets) if name.startswith("moyal") else 0)
 
-    def test_no_pool_task_makes_more_than_one_moyal_call(self, monkeypatch):
-        # each Moyal record is its own task, so no task runs two Moyal pairs
-        task = threading.local()
-        calls = []
-        original = verify.moyal_check
-
-        def counted(*args, **kwargs):
-            calls.append(task.label)
-            return original(*args, **kwargs)
+    @staticmethod
+    def _label_tasks(monkeypatch):
+        # the labels of the pool tasks that run, in order; task.label is
+        # the label of the task running on the calling thread
+        task, labels = threading.local(), []
 
         class Labelled(verify.ThreadPoolExecutor):
             def map(self, fn, items):
@@ -149,14 +158,40 @@ class TestRunVerification:
                     task.label = item[0]
                     return fn(item)
 
+                items = list(items)
+                labels.extend(item[0] for item in items)
                 return super().map(run, items)
 
-        monkeypatch.setattr(verify, "moyal_check", counted)
         monkeypatch.setattr(verify, "ThreadPoolExecutor", Labelled)
+        return task, labels
+
+    def test_no_pool_task_makes_more_than_one_moyal_call(self, monkeypatch):
+        # each Moyal record is its own task, so no task runs two Moyal pairs
+        task, _ = self._label_tasks(monkeypatch)
+        calls = []
+        original = verify.moyal_check
+
+        def counted(*args, **kwargs):
+            calls.append(task.label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "moyal_check", counted)
         config = RunConfig.from_dict({**default_config_dict(), "n": 16})
         run_verification(config)
         assert len(calls) == 3 * len(config.param_sets)
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("key", sorted(verify._CHECKS))
+    def test_a_task_key_alone_runs_only_its_tasks(self, monkeypatch, key):
+        # the task filter is the only selection: a key's names run that
+        # key's tasks, once per parameter set if it is a check of one set
+        _, per_set, names = verify._CHECKS[key]
+        _, labels = self._label_tasks(monkeypatch)
+        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
+        results = run_verification(config, only=list(names))
+        assert labels == ([f"{key}:{pset[0]}" for pset in config.param_sets] if per_set
+                          else [key])
+        assert {r.name for r in results} == set(names)
 
     @pytest.mark.parametrize("only, passes", [(["donoho-stark-support"], 0),
                                               (["energy"], 1),
@@ -171,15 +206,6 @@ class TestRunVerification:
         results = run_verification(config, only=only)
         assert {r.name for r in results} == set(only)
         assert len(calls) == passes * len(config.param_sets)
-
-    @pytest.mark.parametrize("name, builds", [("energy", 0), ("reconstruction", 1)])
-    def test_reconstruction_is_built_only_for_its_record(self, monkeypatch, name, builds):
-        # the reconstruction costs a second reducer in the pass, and its arrays
-        calls = self._count_calls(monkeypatch, "_Reconstruction")
-        config = RunConfig.from_dict({**default_config_dict(), "n": 16})
-        results = run_verification(config, only=[name])
-        assert {r.name for r in results} == {name}
-        assert len(calls) == builds * len(config.param_sets)
 
     def test_ungated_checks_never_gate(self):
         results = run_verification(small_config(), only=sorted(UNGATED_CHECKS))
