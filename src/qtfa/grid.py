@@ -183,7 +183,8 @@ def translate_window(phi: GridSignal2D, u) -> GridSignal2D:
 
     The offsets must be integer multiples of the grid steps so the shift
     is exact; values pushed past the domain edge are dropped and the
-    exposed cells filled with zeros.
+    exposed cells filled with zeros.  It is the ST-QOLCT oracles' shift,
+    kept apart from the fast paths' ``stqolct._translations`` on purpose.
     """
     u1, u2 = u
     m1 = _aligned_shift(u1, phi.ax1.step, "u1")

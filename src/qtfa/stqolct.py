@@ -4,7 +4,11 @@ For every window position u on a translation grid, the coefficient slice
 S(., u) is the QOLCT of the modified signal f(x) * conj(phi(x - u)).  The
 translation grid subsamples the spatial grid with an integer stride and
 its nodes sit on integer multiples of the grid step, so every window
-translation is an exact sample shift (no interpolation).
+translation is an exact sample shift (no interpolation).  On an axis of
+n samples, translation i shifts by m_i = (i - n // 2 // stride) * stride
+samples (``StqolctPlan.shift_counts``), so node n // 2 // stride is
+u = 0 (``StqolctPlan.origin``).  The fast paths and the window cover
+read every translated array from one helper, ``_translations``.
 
 Three computation routes produce identical values (within roundoff):
 
@@ -17,7 +21,7 @@ Three computation routes produce identical values (within roundoff):
 
 ``direct`` and ``via_qft`` are deliberate second implementations: they are
 the oracles the row engine is tested against, and they build each
-modified signal with ``grid.translate_window``.
+modified signal with ``grid.translate_window``, a shift of their own.
 
 The row engine works in Cayley channel form throughout and computes the
 field one u1 row at a time as a (nw1, nw2, nu2, 4) block.  It has two
@@ -44,9 +48,8 @@ window shapes:
   planes that are not identically zero take part (``_window_terms``): a
   window without i and k parts, such as every real window, has a
   diagonal matrix and costs two plane products per row, a general
-  quaternion window four.  The window planes are zero-padded once, so
-  the planes of every translation are slices of one
-  ``sliding_window_view``.  Per row, each channel then takes the QOLCT
+  quaternion window four.  The planes of every translation are one
+  view (``_translations``).  Per row, each channel then takes the QOLCT
   plan's profiles as phase planes built once per pass
   (``_phase_planes``), ``_dft2`` over both axes, and the channel join.
 
@@ -232,6 +235,11 @@ class StqolctPlan:
         """The translation u at grid index (i1, i2)."""
         return self.u1.coords[i1], self.u2.coords[i2]
 
+    @property
+    def origin(self):
+        """The translation-grid index (i1, i2) of u = 0."""
+        return tuple(-m // self.stride for m in self.shift_counts(0, 0))
+
 
 @dataclass
 class StqolctField:
@@ -312,56 +320,45 @@ def _window_factors(plan):
     return q, a, b
 
 
-def _translated(profile, stride, count):
-    """(n, count): a 1-D profile at each of an axis's translations, zero outside.
+def _translations(plan, values, axes):
+    """``values`` at every translation of the plan along the spatial ``axes``.
 
-    Column i is profile(x - u_i) for the shift ``_u_first + i * stride``
-    of ``StqolctPlan.shift_counts``.
+    The trailing ``len(axes)`` axes of ``values`` are sampled on the
+    spatial axes ``axes`` (0 for x1, 1 for x2).  The result has shape
+    ``values.shape + (nu_k for k in axes)``; element [..., x, i] is
+    values[..., x - m_i], m_i the sample shift of translation i
+    (``shift_counts``), and 0 where x - m_i is off the grid.  It is a
+    read-only view of one zero-padded copy of ``values``.
     """
-    n = profile.shape[0]
-    src = np.arange(n)[:, None] - (_u_first(n, stride) + stride * np.arange(count))
-    return np.where((src >= 0) & (src < n), profile[src % n], 0.0)
+    d = len(axes)
+    first = [plan.shift_counts(0, 0)[k] for k in axes]
+    last = [plan.shift_counts(plan.u1.n - 1, plan.u2.n - 1)[k] for k in axes]
+    sizes = values.shape[-d:]
+    # first <= 0 <= last: the samples start at pad index last, so window s
+    # of the view is values[x + s - last] and translation i is window
+    # last - m_i
+    pad = np.zeros(values.shape[:-d] + tuple(n + hi - lo for n, lo, hi in zip(sizes, first, last)),
+                   dtype=values.dtype)
+    pad[(..., *(slice(hi, hi + n) for n, hi in zip(sizes, last)))] = values
+    windows = sliding_window_view(pad, sizes, axis=tuple(range(-d, 0)))
+    picked = windows[(..., *(slice(hi - lo, None, -plan.stride) for lo, hi in zip(first, last)),
+                      *(slice(None),) * d)]
+    return np.moveaxis(picked, range(-2 * d, -d), range(-d, 0))
 
 
 def _window_cover(plan, density):
-    """Sum over the stride-1 translations u of density(x - u) du, grid-exact.
+    """Sum over the plan's translations u of density(x - u) du, grid-exact.
 
     ``density`` holds (..., n1, n2) planes on the spatial grid, zero
-    outside it as the translated windows are.  Translation i shifts by
-    i - n // 2 samples, so sample k sums the density over the samples s
-    with n // 2 - n < s - k <= n // 2: one 0/1 band matrix on each side
-    of every plane.
+    outside it as the translated windows are.  The identity's
+    translations, summed, give one 0/1 band matrix per axis, the sample
+    pairs (x, s) with x - s a translation's shift: the cover is
+    band1 @ density @ band2.T.
     """
-    def band(n):
-        d = np.arange(n) - np.arange(n)[:, None]  # d[k, s] = s - k
-        return ((d > n // 2 - n) & (d <= n // 2)).astype(float)
-
-    return band(plan.ax1.n) @ density @ band(plan.ax2.n).T * (plan.u1.step * plan.u2.step)
-
-
-class _Translations:
-    """Planes over the spatial grid, zero-padded once so that their values
-    at every window translation are slices of one sliding-window view."""
-
-    def __init__(self, plan, planes):
-        n1, n2 = plan.ax1.n, plan.ax2.n
-        # Translation index i shifts by m = shift_counts(i) >= -(n//2)
-        # samples; the shifted plane is pad[before - m : before - m + n].
-        self._before = tuple(max(0, plan.shift_counts(plan.u1.n - 1, plan.u2.n - 1)[k])
-                             for k in range(2))
-        pad = np.zeros((len(planes), self._before[0] + n1 + n1 // 2,
-                        self._before[1] + n2 + n2 // 2), dtype=complex)
-        pad[:, self._before[0]:self._before[0] + n1,
-            self._before[1]:self._before[1] + n2] = planes
-        self._view = sliding_window_view(pad, (n1, n2), axis=(1, 2))
-        self._plan = plan
-
-    def row(self, i1):
-        """Shape (planes, n1, n2, nu2): every plane at translations (i1, 0..nu2-1)."""
-        plan = self._plan
-        m1, m2 = plan.shift_counts(i1, 0)
-        rows = self._view[:, self._before[0] - m1, self._before[1] - m2::-plan.stride]
-        return rows[:, :plan.u2.n].transpose(0, 2, 3, 1)
+    # in C order: matmul's sums, to the last bit, follow the operands' layout
+    band1, band2 = (np.ascontiguousarray(_translations(plan, np.eye(n), (k,)).sum(axis=-1).T)
+                    for k, n in enumerate((plan.ax1.n, plan.ax2.n)))
+    return band1 @ density @ band2.T * (plan.u1.step * plan.u2.step)
 
 
 class _Buffers:
@@ -401,12 +398,12 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
     groups = ([], [])
     for k, (out, inp, _) in enumerate(terms):
         groups[out].append((k, planes[out][0][:, :, None] * f_chans[inp]))
-    windows = _Translations(plan, np.stack([plane for _, _, plane in terms]))
+    windows = _translations(plan, np.stack([plane for _, _, plane in terms]), (0, 1))
 
     # Channels are laid out (w1, w2, u2) like the block, with the
     # translations of a row as the fastest axis.
     def row(i1, buffers):
-        w = windows.row(i1)
+        w = windows[..., i1, :]
         for chan, group, (_, tail, signs) in zip((buffers.p, buffers.m), groups, planes):
             (k, src), *rest = group
             np.multiply(w[k], src, out=chan)
@@ -429,8 +426,8 @@ def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a, b):
     i1 is tail1 * DFT_x1[a(x1 - u1) H]: one multiply, one FFT along
     axis 0, the tail1 multiply and the join.
     """
-    a_rows = _translated(a, plan.stride, plan.u1.n)
-    b_cols = _translated(b, plan.stride, plan.u2.n)
+    a_rows = _translations(plan, a, (0,))
+    b_cols = _translations(plan, b, (1,))
     profiles = plan.qolct._forward_profiles
     hs = []
     for chan, ch in zip(_split_channels(qmul(f.data, qconj(q))), profiles):
@@ -738,14 +735,15 @@ class _Reconstruction:
         if self._factors is not None:
             _, a, b = self._factors
             profiles = plan.qolct._inverse_profiles
-            self._a_rows = _translated(a, plan.stride, plan.u1.n)
-            b_cols = _translated(b, plan.stride, plan.u2.n)
+            self._a_rows = _translations(plan, a, (0,))
+            b_cols = _translations(plan, b, (1,))
             self._b_weights = [ch.tail2[:, None] * b_cols for ch in profiles]
             self._columns = np.empty((2, plan.qolct.w1.n, plan.ax2.n, plan.u1.n),
                                      dtype=complex)
             return
         terms = _window_terms(plan)
-        self._windows = _Translations(plan, np.stack([plane.conj() for _, _, plane in terms]))
+        self._windows = _translations(plan, np.stack([plane.conj() for _, _, plane in terms]),
+                                      (0, 1))
         self._terms = [(out, inp) for out, inp, _ in terms]
         self._slots = np.empty((plan.u1.n, 2, plan.ax1.n, plan.ax2.n), dtype=complex)
 
@@ -761,7 +759,7 @@ class _Reconstruction:
         for chan, (head, _, signs) in zip(chans, self._planes):
             chan *= head[:, :, None]
             _dft2(chan, signs)
-        w = self._windows.row(i1)
+        w = self._windows[..., i1, :]
         slot = self._slots[i1]
         slot.fill(0)
         for t, (out, inp) in enumerate(self._terms):

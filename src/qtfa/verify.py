@@ -363,9 +363,8 @@ def _check_field(config, pset):
     # energy-maximizing translation (the first in row-major order), each
     # slice one fast QOLCT of its modified signal; informational only
     p1, p2 = plan.qolct.params1, plan.qolct.params2
-    zero = (plan.ax1.n // 2 // plan.stride, plan.ax2.n // 2 // plan.stride)
     best = np.unravel_index(int(np.argmax(sums.u_energy)), sums.u_energy.shape)
-    for label, index in (("u=0", zero), ("u=max-overlap", best)):
+    for label, index in (("u=0", plan.origin), ("u=max-overlap", best)):
         g = modified_signal(f, plan.window, plan.translation(*index))
         mag = qnorm(qolct_forward(g, plan.qolct).data)
         try:

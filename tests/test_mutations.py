@@ -83,16 +83,18 @@ def _factored_engine_folds_q(monkeypatch):
 
 
 def _translations_off_by_one(monkeypatch):
-    # every translated 1-D profile is shifted by one more sample
-    translated = stqolct._translated
+    # every translated 1-D window profile is shifted by one more sample
+    translations = stqolct._translations
 
-    def mutant(profile, stride, count):
-        exact = translated(profile, stride, count)
+    def mutant(plan, values, axes):
+        exact = translations(plan, values, axes)
+        if values.ndim != 1:
+            return exact
         shifted = np.zeros_like(exact)
         shifted[1:] = exact[:-1]
         return shifted
 
-    monkeypatch.setattr(stqolct, "_translated", mutant)
+    monkeypatch.setattr(stqolct, "_translations", mutant)
 
 
 def _scaled_rows(monkeypatch):
@@ -113,15 +115,29 @@ def _scaled_rows(monkeypatch):
 
 def _translation_rows_shifted(monkeypatch):
     # the two-axis engine's window planes are shifted one sample along x1
-    row = stqolct._Translations.row
+    translations = stqolct._translations
 
-    def mutant(self, i1):
-        exact = row(self, i1)
+    def mutant(plan, values, axes):
+        exact = translations(plan, values, axes)
+        if len(axes) != 2:
+            return exact
         shifted = np.zeros_like(exact)
         shifted[:, 1:] = exact[:, :-1]
         return shifted
 
-    monkeypatch.setattr(stqolct._Translations, "row", mutant)
+    monkeypatch.setattr(stqolct, "_translations", mutant)
+
+
+def _cover_skips_a_translation(monkeypatch):
+    # the window cover sums one translation fewer along x1: it translates
+    # the identity, the one 2-D array translated along one axis
+    translations = stqolct._translations
+
+    def mutant(plan, values, axes):
+        exact = translations(plan, values, axes)
+        return exact[..., 1:] if values.ndim == 2 and axes == (0,) else exact
+
+    monkeypatch.setattr(stqolct, "_translations", mutant)
 
 
 def _m_channel_unconjugated(monkeypatch):
@@ -190,6 +206,7 @@ MUTANTS = {
     "translations-off-by-one": _translations_off_by_one,
     "scaled-rows": _scaled_rows,
     "translation-rows-shifted": _translation_rows_shifted,
+    "cover-skips-a-translation": _cover_skips_a_translation,
     "m-channel-unconjugated": _m_channel_unconjugated,
     "inverse-without-b-weight": _inverse_without_b_weight,
     "transposed-moyal-gram": _transposed_moyal_gram,

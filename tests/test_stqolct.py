@@ -76,6 +76,7 @@ class TestPlan:
         ax = Axis.centered(n, 6.0)
         plan = make_plan(ax, ax, stride=stride)
         centre = n // 2 // stride
+        assert plan.origin == (centre, centre)
         assert plan.translation(centre, centre) == (0.0, 0.0)
         f = random_signal(ax, ax, seed=300 + n)
         fast = stqolct_forward(f, plan, "via_qolct").data
@@ -425,6 +426,53 @@ def rectangular_grids(draw, strides=(1, 2, 4)):
     n1, n2 = draw(st.lists(st.sampled_from(sizes), min_size=2, max_size=2, unique=True))
     extent = draw(st.floats(2.0, 8.0))
     return Axis.centered(n1, extent), Axis.centered(n2, extent / 2), stride
+
+
+def _translate_planes(planes, ax1, ax2, u):
+    """grid.translate_window of (4, n1, n2) planes, carried as quaternion parts."""
+    shifted = translate_window(GridSignal2D(ax1, ax2, np.moveaxis(planes, 0, -1)), u)
+    return np.moveaxis(shifted.data, -1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=rectangular_grids(), seed=st.integers(0, 2**32 - 2))
+def test_translations_match_translate_window_at_every_translation(grid, seed):
+    # the fast paths' shift against the oracles' own, for 2-D planes along
+    # both axes and 1-D profiles along either
+    ax1, ax2, stride = grid
+    plan = make_plan(ax1, ax2, stride=stride)
+    rng = np.random.default_rng(seed)
+    planes = rng.standard_normal((4, ax1.n, ax2.n))
+    a, b = rng.standard_normal(ax1.n), rng.standard_normal(ax2.n)
+    both = stqolct._translations(plan, planes, (0, 1))
+    a_rows, b_cols = stqolct._translations(plan, a, (0,)), stqolct._translations(plan, b, (1,))
+    assert both.shape == planes.shape + (plan.u1.n, plan.u2.n)
+    assert a_rows.shape == (ax1.n, plan.u1.n) and b_cols.shape == (ax2.n, plan.u2.n)
+    for i1 in range(plan.u1.n):
+        for i2 in range(plan.u2.n):
+            expect = _translate_planes(planes, ax1, ax2, plan.translation(i1, i2))
+            assert np.array_equal(both[..., i1, i2], expect)
+    profiles = np.zeros_like(planes)
+    profiles[0], profiles[1] = a[:, None], b
+    for i1, u1 in enumerate(plan.u1.coords):
+        expect = _translate_planes(profiles, ax1, ax2, (u1, 0.0))
+        assert np.array_equal(a_rows[:, i1], expect[0, :, 0])
+    for i2, u2 in enumerate(plan.u2.coords):
+        expect = _translate_planes(profiles, ax1, ax2, (0.0, u2))
+        assert np.array_equal(b_cols[:, i2], expect[1, 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=rectangular_grids(), seed=st.integers(0, 2**32 - 2))
+def test_window_cover_is_the_sum_of_translated_densities(grid, seed):
+    # integer densities, so that both sums are exact in any order
+    ax1, ax2, stride = grid
+    plan = make_plan(ax1, ax2, stride=stride)
+    density = np.random.default_rng(seed).integers(-8, 9, (4, ax1.n, ax2.n)).astype(float)
+    expect = sum(_translate_planes(density, ax1, ax2, plan.translation(i1, i2))
+                 for i1 in range(plan.u1.n) for i2 in range(plan.u2.n))
+    cover = stqolct._window_cover(plan, density)
+    assert np.array_equal(cover, expect * (plan.u1.step * plan.u2.step))
 
 
 @settings(max_examples=30, deadline=None)
