@@ -1,7 +1,7 @@
 """Command line front end: signal generation, transforms, verification.
 
 Exit codes are a stable contract: 0 success, 1 a gated verification
-check failed, 2 input/config error, 3 shape mismatch.
+check failed, 2 input/config error or out of memory, 3 shape mismatch.
 """
 
 from __future__ import annotations
@@ -209,6 +209,9 @@ def main(argv=None):
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .grid import Axis, GridSignal2D
+from .grid import Axis, GridSignal2D, _check_memory
 
 __all__ = ["save_signal", "load_signal", "save_field", "load_field"]
 
@@ -98,10 +98,12 @@ def _read_payload(path, size, start, count):
 
     The payload is read straight into the result, ``_PAYLOAD_CHUNK`` values
     at a time, and each slice is checked while it is still in cache, so the
-    check costs no second pass over the array and no full-size mask.
+    check costs no second pass over the array and no full-size mask.  A
+    truncated file is reported first, then a payload over the memory budget.
     """
     if size < start + 8 * count:
         raise FormatError(f"{path}: truncated payload", offset=size)
+    _check_memory(8 * count, f"{path}: the payload")
     data = np.empty(count, dtype="<f8")
     finite = np.empty(min(count, _PAYLOAD_CHUNK), dtype=bool)
     with open(path, "rb") as fh:
@@ -247,7 +249,11 @@ def save_field(field, path):
 
 
 def load_field(path):
-    """Read a .qtf4 file; the result carries no plan (axes and params only)."""
+    """Read a .qtf4 file; the result carries no plan (axes and params only).
+
+    A payload over the memory budget raises ParameterError before it is
+    allocated.
+    """
     from .qolct import OlctParams
     from .stqolct import StqolctField
 

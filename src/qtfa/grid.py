@@ -198,3 +198,28 @@ def translate_window(phi: GridSignal2D, u) -> GridSignal2D:
     if src1.start < src1.stop and src2.start < src2.stop:
         out[dst1, dst2] = phi.data[src1, src2]
     return GridSignal2D(phi.ax1, phi.ax2, out)
+
+
+def _memory_budget():
+    """MemAvailable from /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_memory(nbytes, what):
+    """Raise ParameterError before a dense array of ``nbytes`` that the
+    memory available (``_memory_budget``) cannot hold is allocated.
+
+    Without swap, such an allocation ends in the OOM killer, not in an
+    error.  Where the budget cannot be read there is no check.
+    """
+    budget = _memory_budget()
+    if budget is not None and nbytes > budget:
+        raise ParameterError(f"{what} needs {nbytes} bytes, over the memory budget of "
+                             f"{budget} bytes (MemAvailable)")

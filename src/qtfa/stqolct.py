@@ -118,7 +118,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
-from .grid import Axis, GridSignal2D, l2_norm, translate_window
+from .grid import Axis, GridSignal2D, _check_memory, l2_norm, translate_window
 from .qft import (QftPlan, _check_mode, _check_signal_axes, _dft, _dft2, _join_channels,
                   _phase_planes, _split_channels, qft_forward)
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
@@ -490,15 +490,18 @@ def _field_shape(plan: StqolctPlan):
 def _field_array(shape):
     """An uninitialised float array: this thread's spare of that shape, if any.
 
-    A new array of ``_SPARE_BYTES`` or more frees the thread's spares first.
+    A new array of ``_SPARE_BYTES`` or more frees the thread's spares
+    first; one over the memory budget raises ParameterError instead.
     """
     spares = getattr(_spares, "arrays", [])
     # a generator, so that no loop variable holds a spare past the clear
     match = next((k for k, spare in enumerate(spares) if spare.shape == shape), None)
     if match is not None:
         return spares.pop(match)
-    if math.prod(shape) * np.dtype(float).itemsize >= _SPARE_BYTES:
+    nbytes = math.prod(shape) * np.dtype(float).itemsize
+    if nbytes >= _SPARE_BYTES:
         spares.clear()
+    _check_memory(nbytes, f"a dense ST-QOLCT field of shape {shape[:4]}")
     return np.empty(shape)
 
 
@@ -556,7 +559,11 @@ def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
 
 
 def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> StqolctField:
-    """Coefficient field S(w, u) over the full translation grid."""
+    """Coefficient field S(w, u) over the full translation grid.
+
+    A field over the memory budget raises ParameterError before it is
+    allocated.
+    """
     _check_route(route)
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     qplan = plan.qolct

@@ -397,11 +397,10 @@ def _log_magnitude(data):
     return np.where(peak > 0, out, -np.inf)
 
 
-def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float,
-                      u=(0.0, 0.0)) -> BeurlingIntegral:
+def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float) -> BeurlingIntegral:
     """Diagnostic double integral with kernel e^(|x||w|) / (1+|x|+|w|)^d.
 
-    Evaluated at one window translation u (default 0).  All terms are
+    Evaluated at the window translation u = 0.  All terms are
     accumulated in log space; if any term (or the total) exceeds the
     double range the result saturates to inf and the flag is set, rather
     than raising.  Finiteness of this integral characterizes signals
@@ -410,7 +409,7 @@ def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float,
     """
     if d < 0:
         raise ParameterError(f"d must be nonnegative, got {d}")
-    g = modified_signal(f, plan.window, u)
+    g = modified_signal(f, plan.window, (0.0, 0.0))
     coeff = qolct_forward(g, plan.qolct, mode="fast")
     x_r = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :]).ravel()
     w_r = np.hypot(plan.qolct.w1.coords[:, None], plan.qolct.w2.coords[None, :]).ravel()

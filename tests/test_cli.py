@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qtfa import load_field, load_signal
+from qtfa import cli, load_field, load_signal
 from qtfa.cli import main
 from qtfa.errors import FormatError
 from qtfa.verify import UNGATED_CHECKS, load_report
@@ -65,6 +65,18 @@ class TestGen:
     def test_impulse_without_at_exits_2(self, tmp_path):
         assert run("gen", "--kind", "impulse", "--n", 8, "--extent", 4,
                    "-o", tmp_path / "x.qs2d") == 2
+
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # exit 1 means a gated check failed; nothing is allocated here
+        def unallocatable(*args):
+            raise MemoryError("Unable to allocate 1.19 TiB for an array")
+
+        monkeypatch.setattr(cli, "gaussian_signal", unallocatable)
+        out = tmp_path / "x.qs2d"
+        assert run("gen", "--kind", "gaussian", "--n", 200000, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 1.19 TiB for an array\n"
+        assert not out.exists()
 
 
 class TestTransform:

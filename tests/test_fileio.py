@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_signal
-from qtfa import (Axis, OlctParams, StqolctPlan, gaussian_signal,
+from qtfa import (Axis, OlctParams, StqolctPlan, gaussian_signal, grid,
                   load_field, load_signal, save_field, save_signal,
                   stqolct_forward)
 from qtfa.errors import FormatError, ParameterError
@@ -232,6 +232,28 @@ class TestQtf4:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             load_field(path)
+
+    def test_over_budget_payload_raises_before_it_is_read(self, field, tmp_path, monkeypatch):
+        path = tmp_path / "s.qtf4"
+        save_field(field, path)
+        nbytes = field.data.nbytes
+        monkeypatch.setattr(grid, "_memory_budget", lambda: nbytes - 1)
+        with pytest.raises(ParameterError, match=f"needs {nbytes} bytes, over the memory "
+                                                 f"budget of {nbytes - 1} bytes"):
+            load_field(path)
+        monkeypatch.setattr(grid, "_memory_budget", lambda: nbytes)
+        assert np.array_equal(load_field(path).data, field.data)
+
+    def test_a_truncated_payload_is_reported_before_the_budget(self, field, tmp_path,
+                                                              monkeypatch):
+        path = tmp_path / "s.qtf4"
+        save_field(field, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        monkeypatch.setattr(grid, "_memory_budget", lambda: 0)
+        with pytest.raises(FormatError) as err:
+            load_field(path)
+        assert err.value.offset == len(raw) - 8
 
     def test_non_finite_axis_min_reports_offset(self, field, tmp_path):
         path = tmp_path / "s.qtf4"

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from conftest import random_signal
+from qtfa import grid
 from qtfa import (Axis, GridSignal2D, chirp_signal, gaussian_signal,
                   impulse_signal, inner_product, l2_norm, pointwise_mul, qconj,
                   qmul, qnorm, quat, translate_window, unit_exp)
@@ -199,3 +202,27 @@ def test_signal_rejects_non_finite(small_axes):
     data[0, 0, 0] = np.nan
     with pytest.raises(ParameterError):
         GridSignal2D(ax1, ax2, data)
+
+
+class TestMemoryBudget:
+    def test_the_budget_is_memavailable_where_it_can_be_read(self):
+        budget = grid._memory_budget()
+        if os.path.exists("/proc/meminfo"):
+            assert budget > 0
+        else:
+            assert budget is None
+
+    def test_without_meminfo_there_is_no_budget_and_no_check(self, monkeypatch):
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("/proc/meminfo")
+
+        monkeypatch.setattr(grid, "open", missing, raising=False)
+        assert grid._memory_budget() is None
+        grid._check_memory(1 << 60, "an array")
+
+    def test_a_request_over_the_budget_names_both(self, monkeypatch):
+        monkeypatch.setattr(grid, "_memory_budget", lambda: 1000)
+        grid._check_memory(1000, "an array")
+        with pytest.raises(ParameterError, match="an array needs 1001 bytes, over the memory "
+                                                 "budget of 1000 bytes"):
+            grid._check_memory(1001, "an array")

@@ -19,6 +19,7 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
                   translate_window)
 from qtfa import stqolct, uncertainty
 from qtfa.errors import ParameterError, ShapeError
+from qtfa.grid import _memory_budget
 from qtfa.stqolct import (_discard, _FieldSums, _max_workers, _pass, _Reconstruction,
                           _replay, _stream, _window_factors, _window_terms)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
@@ -82,6 +83,25 @@ class TestPlan:
         fast = stqolct_forward(f, plan, "via_qolct").data
         direct = stqolct_forward(f, plan, "direct").data
         assert np.max(np.abs(fast - direct)) < 1e-9
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_an_over_budget_field_raises_before_it_is_allocated(self, monkeypatch, route):
+        # stride 1 at n = 512: 512**4 * 4 float64, a 2.2 TB field
+        if _memory_budget() is None:
+            pytest.skip("no MemAvailable to check against")
+        ax = Axis.centered(512, 8.0)
+        plan = make_plan(ax, ax)
+        f = gaussian_signal(ax, ax, 1.0)
+        empty = np.empty
+
+        def small_only(shape, *args, **kwargs):
+            assert np.prod(shape) < 1 << 27, f"allocated {shape}"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", small_only)
+        with pytest.raises(ParameterError, match=r"\(512, 512, 512, 512\) needs 2199023255552 "
+                                                 r"bytes, over the memory budget of \d+ bytes"):
+            stqolct_forward(f, plan, route)
 
     def test_stride_must_divide(self, small_axes):
         with pytest.raises(ParameterError):
