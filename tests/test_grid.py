@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_signal
-from qtfa import grid
-from qtfa import (Axis, GridSignal2D, chirp_signal, gaussian_signal,
+from qtfa import (Axis, GridSignal2D, chirp_signal, gaussian_signal, grid,
                   impulse_signal, inner_product, l2_norm, pointwise_mul, qconj,
                   qmul, qnorm, quat, translate_window, unit_exp)
 from qtfa.errors import ParameterError, ShapeError
