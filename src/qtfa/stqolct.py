@@ -25,11 +25,11 @@ modified signal with ``grid.translate_window``, a shift of their own.
 
 The row engine works in Cayley channel form throughout and computes the
 field one u1 row at a time as a (nw1, nw2, nu2, 4) block.  It has two
-window shapes:
+window shapes, told apart once per plan by the plan's window analysis:
 
 * A factored window phi = q * a(x1) * b(x2), q a constant quaternion and
-  a, b real (``_window_factors``; every Gaussian window, with a real or
-  a quaternion amplitude).  Since f * conj(q a b) = (f * conj(q)) a b,
+  a, b real (``StqolctPlan._factors``; every Gaussian window, with a
+  real or a quaternion amplitude).  Since f * conj(q a b) = (f * conj(q)) a b,
   q folds into the signal and each channel takes one real term.  The x2
   DFT commutes with a(x1 - u1), so ``_factored_engine`` builds, once per
   pass and channel, H(x1, w2, u2) = tail2 * DFT_x2[head1 head2
@@ -45,7 +45,7 @@ window shapes:
 * Any other window.  Signal and window are split once into their p/m
   channels; the product f * conj(phi) is then, per cell, a 2x2 complex
   matrix of window planes applied to the signal channels.  Only the
-  planes that are not identically zero take part (``_window_terms``): a
+  planes that are not identically zero take part (``StqolctPlan._terms``): a
   window without i and k parts, such as every real window, has a
   diagonal matrix and costs two plane products per row, a general
   quaternion window four.  The planes of every translation are one
@@ -113,6 +113,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -139,7 +140,7 @@ __all__ = [
 _ROUTES = ("direct", "via_qolct", "via_qft")
 
 #: a window is taken as q * a(x1) * b(x2) when that product is within this
-#: many ulps of max |phi| of every sample (``_window_factors``)
+#: many ulps of max |phi| of every sample (``StqolctPlan._factors``)
 _FACTOR_ULPS = 8
 
 #: rows of (4) floats per chunk of the Moyal Gram sums: 512 KiB an operand
@@ -188,9 +189,12 @@ def _u_axis(ax: Axis, stride: int) -> Axis:
     return Axis(ax.n // stride, _u_first(ax.n, stride) * ax.step, stride * ax.step)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StqolctPlan:
-    """Window, stride, and the underlying QOLCT plan."""
+    """Window, stride, and the underlying QOLCT plan.
+
+    Frozen, with a read-only window, so its cached analysis cannot go stale.
+    """
 
     qolct: QolctPlan
     window: GridSignal2D
@@ -216,7 +220,9 @@ class StqolctPlan:
                 f"n = {min(ax1.n, ax2.n)} samples"
             )
         qplan = QolctPlan.for_axes(params1, params2, ax1, ax2)
-        return cls(qplan, window.copy(), stride, _u_axis(ax1, stride), _u_axis(ax2, stride))
+        window = window.copy()
+        window.data.setflags(write=False)
+        return cls(qplan, window, stride, _u_axis(ax1, stride), _u_axis(ax2, stride))
 
     @property
     def ax1(self):
@@ -239,6 +245,49 @@ class StqolctPlan:
     def origin(self):
         """The translation-grid index (i1, i2) of u = 0."""
         return tuple(-m // self.stride for m in self.shift_counts(0, 0))
+
+    @cached_property
+    def _factors(self):
+        """(q, a, b) with phi = q * a(x1) * b(x2), q a quaternion and a, b real, or None.
+
+        The pivot is the sample of largest modulus: q is phi there, r is each
+        sample's real coordinate along q, <phi, q> / |q|^2, and a and b are
+        r along the pivot's column and row, with b(pivot) = 1, returned at
+        every translation (``_translations``).  The window factors when
+        q * a * b is within ``_FACTOR_ULPS`` ulps of max |phi| of every sample.
+        """
+        phi = self.window.data
+        sq = np.einsum("abc,abc->ab", phi, phi)
+        k1, k2 = np.unravel_index(np.argmax(sq), sq.shape)
+        q = phi[k1, k2]
+        r = phi @ q / sq[k1, k2]
+        a, b = r[:, k2], r[k1, :] / r[k1, k2]
+        misfit = np.max(np.abs(phi - np.multiply.outer(np.outer(a, b), q)))
+        if misfit > _FACTOR_ULPS * np.finfo(float).eps * math.sqrt(sq[k1, k2]):
+            return None
+        return q, _translations(self, a, (0,)), _translations(self, b, (1,))
+
+    @cached_property
+    def _terms(self):
+        """The nonzero planes of the per-cell 2x2 channel matrix of g = f * conj(phi).
+
+        In channel form (p, m) of g is [[W_pp, W_pm], [W_mp, W_mm]] applied to
+        the channels (f_p, f_m) of f; its conjugate transpose applies g * phi,
+        which is what reconstruction needs.  Each nonzero plane is one term
+        ``(out, in, plane)``: channel ``out`` (0 = p, 1 = m) of g gets
+        ``plane * f_in``.  With phi = za + zb j, za = q0 + i q1 and
+        zb = q2 + i q3, the off-diagonal planes are W_pm = Im zb - i Im za and
+        W_mp = -conj(W_pm), so a window without i and k parts (every real
+        window, and every window in span{1, j}) has only the two diagonal
+        terms.  W_mm = conj(W_pp), and a nonzero window has a nonzero W_pp or
+        W_pm, so each out channel gets at least one term.  Planes are read-only.
+        """
+        phi_p, phi_m = _split_channels(self.window.data)
+        planes = np.stack([phi_m + phi_p.conj(), phi_m.conj() - phi_p,
+                           phi_p.conj() - phi_m, phi_m.conj() + phi_p]) / 2.0
+        planes.setflags(write=False)
+        return [(out, inp, plane) for (out, inp), plane in zip(np.ndindex(2, 2), planes)
+                if plane.any()]
 
 
 @dataclass
@@ -275,49 +324,6 @@ def modified_signal(f: GridSignal2D, window: GridSignal2D, u) -> GridSignal2D:
 def _check_route(route):
     if route not in _ROUTES:
         raise ParameterError(f"route must be one of {_ROUTES}, got {route!r}")
-
-
-def _window_terms(plan):
-    """The nonzero planes of the per-cell 2x2 channel matrix of g = f * conj(phi).
-
-    In channel form (p, m) of g is [[W_pp, W_pm], [W_mp, W_mm]] applied to
-    the channels (f_p, f_m) of f; its conjugate transpose applies g * phi,
-    which is what reconstruction needs.  Each nonzero plane is one term
-    ``(out, in, plane)``: channel ``out`` (0 = p, 1 = m) of g gets
-    ``plane * f_in``.  With phi = za + zb j, za = q0 + i q1 and
-    zb = q2 + i q3, the off-diagonal planes are W_pm = Im zb - i Im za and
-    W_mp = -conj(W_pm), so a window without i and k parts (every real
-    window, and every window in span{1, j}) has only the two diagonal
-    terms.  W_mm = conj(W_pp), and a nonzero window has a nonzero W_pp or
-    W_pm, so each out channel gets at least one term.
-    """
-    phi_p, phi_m = _split_channels(plan.window.data)
-    planes = np.stack([phi_m + phi_p.conj(), phi_m.conj() - phi_p,
-                       phi_p.conj() - phi_m, phi_m.conj() + phi_p]) / 2.0
-    return [(out, inp, plane) for (out, inp), plane in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                                                            planes)
-            if plane.any()]
-
-
-def _window_factors(plan):
-    """(q, a, b) with phi = q * a(x1) * b(x2), q a quaternion and a, b real, or None.
-
-    The pivot is the sample of largest modulus: q is phi there, r is each
-    sample's real coordinate along q, <phi, q> / |q|^2, and a and b are
-    r along the pivot's column and row, with b(pivot) = 1.  The window
-    factors when q * a * b is within ``_FACTOR_ULPS`` ulps of max |phi|
-    of every sample.
-    """
-    phi = plan.window.data
-    sq = np.einsum("abc,abc->ab", phi, phi)
-    k1, k2 = np.unravel_index(np.argmax(sq), sq.shape)
-    q = phi[k1, k2]
-    r = phi @ q / sq[k1, k2]
-    a, b = r[:, k2], r[k1, :] / r[k1, k2]
-    misfit = np.max(np.abs(phi - np.multiply.outer(np.outer(a, b), q)))
-    if misfit > _FACTOR_ULPS * np.finfo(float).eps * math.sqrt(sq[k1, k2]):
-        return None
-    return q, a, b
 
 
 def _translations(plan, values, axes):
@@ -378,20 +384,19 @@ class _Buffers:
 def _engine(f: GridSignal2D, plan: StqolctPlan):
     """The row engine of f: ``row(i1, buffers)`` computes translation row i1.
 
-    A window that factors (``_window_factors``) runs ``_factored_engine``.
+    A window that factors (``StqolctPlan._factors``) runs ``_factored_engine``.
     For any other, the phase planes, the channel products and the window
     translations are built here, once per pass, and ``row`` only reads
-    them.  Only the window's nonzero terms (``_window_terms``) are
+    them.  Only the window's nonzero terms (``StqolctPlan._terms``) are
     translated and applied: one multiply per term into its channel, so a
     real window costs two multiplies per row where a general quaternion
     window costs four and two adds.
     """
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
-    factors = _window_factors(plan)
-    if factors is not None:
-        return _factored_engine(f, plan, *factors)
+    if plan._factors is not None:
+        return _factored_engine(f, plan, *plan._factors)
     planes = _phase_planes(plan.qolct._forward_profiles)
-    terms = _window_terms(plan)
+    terms = plan._terms
     f_chans = _split_channels(f.data[:, :, None])
     # per out channel, the (translation index, source product) of its
     # terms; the source of a term is in_out * f_in
@@ -416,7 +421,7 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
     return row
 
 
-def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a, b):
+def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a_rows, b_cols):
     """The row engine of f for the window q * a(x1) * b(x2), one FFT axis per row.
 
     f * conj(q a b) = (f * conj(q)) a b for real a and b, so q folds into
@@ -426,8 +431,6 @@ def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a, b):
     i1 is tail1 * DFT_x1[a(x1 - u1) H]: one multiply, one FFT along
     axis 0, the tail1 multiply and the join.
     """
-    a_rows = _translations(plan, a, (0,))
-    b_cols = _translations(plan, b, (1,))
     profiles = plan.qolct._forward_profiles
     hs = []
     for chan, ch in zip(_split_channels(qmul(f.data, qconj(q))), profiles):
@@ -715,7 +718,7 @@ class _Reconstruction:
     translations.  The caller checks that the translation grid has
     stride 1.  The two window shapes of the row engine take two paths:
 
-    * A factored window phi = q * a(x1) * b(x2) (``_window_factors``).
+    * A factored window phi = q * a(x1) * b(x2) (``StqolctPlan._factors``).
       Since sum g * phi = (sum a b g) * q for real a and b, q comes out
       of the sum on the right and each channel takes one real weight.
       Row i1 gets the inverse heads, one FFT along w2 and the
@@ -726,29 +729,26 @@ class _Reconstruction:
       2 * nw1 * n2 * nu1 complex: 3.5 MB at n=48, 8.4 MB at n=64 and
       67 MB at n=128.  Column i1 is row i1's slot.
     * Any other window.  Each slice goes through both inverse FFT axes;
-      each of the window's nonzero terms (``_window_terms``) is summed
+      each of the window's nonzero terms (``StqolctPlan._terms``) is summed
       over u2, weighted by its tail and added into row i1's slot, one
       (n1, n2) plane per channel (2 * nu1 * n1 * n2 complex: 67 MB at
       n=128, stride 1).  ``result`` adds the slots in row order.
 
     The profiles, planes and window translations are built once and only
-    read by the calls.
+    read by the calls; the window analysis is the plan's.
     """
 
     def __init__(self, plan: StqolctPlan):
         self._plan = plan
         self._planes = _phase_planes(plan.qolct._inverse_profiles)
-        self._factors = _window_factors(plan)
+        self._factors = plan._factors
         if self._factors is not None:
-            _, a, b = self._factors
-            profiles = plan.qolct._inverse_profiles
-            self._a_rows = _translations(plan, a, (0,))
-            b_cols = _translations(plan, b, (1,))
-            self._b_weights = [ch.tail2[:, None] * b_cols for ch in profiles]
+            b_cols = self._factors[2]
+            self._b_weights = [ch.tail2[:, None] * b_cols for ch in plan.qolct._inverse_profiles]
             self._columns = np.empty((2, plan.qolct.w1.n, plan.ax2.n, plan.u1.n),
                                      dtype=complex)
             return
-        terms = _window_terms(plan)
+        terms = plan._terms
         self._windows = _translations(plan, np.stack([plane.conj() for _, _, plane in terms]),
                                       (0, 1))
         self._terms = [(out, inp) for out, inp, _ in terms]
@@ -781,13 +781,12 @@ class _Reconstruction:
         if self._factors is not None:
             # tail1 and the first axis's sign are the same in both channels;
             # the FFT runs on a copy, so that the result can be read again
+            q, a_rows, _ = self._factors
             ch = plan.qolct._inverse_profiles[0]
             p, m = (ch.tail1[:, None] * np.einsum("abu,au->ab",
-                                                  _dft(columns.copy(), 0, ch.signs[0]),
-                                                  self._a_rows)
+                                                  _dft(columns.copy(), 0, ch.signs[0]), a_rows)
                     for columns in self._columns)
-            return GridSignal2D(plan.ax1, plan.ax2,
-                                qmul(_join_channels(p, m), self._factors[0]) * scale)
+            return GridSignal2D(plan.ax1, plan.ax2, qmul(_join_channels(p, m), q) * scale)
         p, m = self._slots.sum(axis=0)
         return GridSignal2D(plan.ax1, plan.ax2, _join_channels(p, m) * scale)
 

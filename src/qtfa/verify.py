@@ -405,7 +405,7 @@ def _chirp_gaussian(ax1, ax2):
     """The corpus chirp times a Gaussian of rate 0.75.
 
     It is the Moyal records' second signal, and a window that does not
-    factor (``stqolct._window_factors``), so it runs the two-axis engine.
+    factor (``StqolctPlan._factors`` is None), so it runs the two-axis engine.
     """
     return GridSignal2D(ax1, ax2, qmul(chirp_signal(ax1, ax2, **_CHIRP).data,
                                        gaussian_signal(ax1, ax2, 0.75).data))

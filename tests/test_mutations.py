@@ -45,14 +45,15 @@ def _reconstruction_skips_the_last_row(monkeypatch):
 
 
 def _swapped_off_diagonal_planes(monkeypatch):
-    # the window matrix takes W_mp for W_pm and W_pm for W_mp
-    terms = stqolct._window_terms
+    # the window matrix takes W_mp for W_pm and W_pm for W_mp (a plain
+    # property: a cached_property set on a built class has no name to cache by)
+    terms = stqolct.StqolctPlan._terms.func
 
     def mutant(plan):
         planes = {(out, inp): plane for out, inp, plane in terms(plan)}
         return [(out, inp, planes[inp, out]) for out, inp in planes]
 
-    monkeypatch.setattr(stqolct, "_window_terms", mutant)
+    monkeypatch.setattr(stqolct.StqolctPlan, "_terms", property(mutant))
 
 
 def _doubled_join(monkeypatch):

@@ -5,6 +5,7 @@ import threading
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qtfa import stqolct, uncertainty
 from qtfa.errors import ParameterError, ShapeError
 from qtfa.grid import _memory_budget
 from qtfa.stqolct import (_discard, _FieldSums, _max_workers, _pass, _Reconstruction,
-                          _replay, _stream, _window_factors, _window_terms)
+                          _replay, _stream)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
 from qtfa.verify import RunConfig, default_config_dict, run_verification
 
@@ -102,6 +103,24 @@ class TestPlan:
         with pytest.raises(ParameterError, match=r"\(512, 512, 512, 512\) needs 2199023255552 "
                                                  r"bytes, over the memory budget of \d+ bytes"):
             stqolct_forward(f, plan, route)
+
+    def test_a_plan_and_its_window_analysis_are_read_only(self, small_axes):
+        # the window the caller passed stays theirs and writable
+        window = random_signal(*small_axes, seed=301)
+        plan = StqolctPlan.create(MIXED, NEG_B, *small_axes, window)
+        with pytest.raises(FrozenInstanceError):
+            plan.stride = 2
+        with pytest.raises(FrozenInstanceError):
+            plan.window = window
+        with pytest.raises(ValueError, match="read-only"):
+            plan.window.data[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan._terms[0][2][0, 0] = 1.0
+        window.data[0, 0, 0] = 1.0
+        q, a_rows, b_cols = make_plan(*small_axes)._factors
+        for array in (q, a_rows, b_cols):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_stride_must_divide(self, small_axes):
         with pytest.raises(ParameterError):
@@ -390,7 +409,7 @@ class TestReconstruction:
         ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
         window = shaped_window(ax1, ax2, shape, seed=315)
         plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
-        assert len(_window_terms(plan)) == WINDOW_TERMS[shape]
+        assert len(plan._terms) == WINDOW_TERMS[shape]
         field = stqolct_forward(random_signal(ax1, ax2, seed=316), plan)
         rec_fast = stqolct_reconstruct(field, mode="fast")
         rec_direct = stqolct_reconstruct(field, mode="direct")
@@ -512,8 +531,8 @@ def _check_row_engine_against_direct(params1, params2, grid, seed, shape="full")
     ax1, ax2, stride = grid
     window = shaped_window(ax1, ax2, shape, seed=seed)
     plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
-    assert len(_window_terms(plan)) == WINDOW_TERMS[shape]
-    assert _window_factors(plan) is None
+    assert len(plan._terms) == WINDOW_TERMS[shape]
+    assert plan._factors is None
     _check_fast_against_direct(plan, seed + 1)
 
 
@@ -531,7 +550,7 @@ def test_factored_row_engine_matches_direct(params1, params2, grid, seed):
     ax1, ax2, stride = grid
     window = factored_window(ax1, ax2, seed)
     plan = StqolctPlan.create(params1, params2, ax1, ax2, window, stride=stride)
-    assert _window_factors(plan) is not None
+    assert plan._factors is not None
     _check_fast_against_direct(plan, seed + 1)
 
 
@@ -542,7 +561,7 @@ def test_factored_reconstruction_matches_direct(params1, params2, grid, seed):
     ax1, ax2, _ = grid
     window = factored_window(ax1, ax2, seed)
     plan = StqolctPlan.create(params1, params2, ax1, ax2, window)
-    assert _window_factors(plan) is not None
+    assert plan._factors is not None
     _check_reconstruction_against_direct(plan, seed + 1)
 
 
@@ -563,14 +582,42 @@ def test_a_gaussian_factors_and_one_off_by_1e_9_at_a_sample_does_not(amplitude):
     ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
     window = gaussian_signal(ax1, ax2, 2.0, amplitude=amplitude)
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
-    assert _window_factors(plan) is not None
+    assert plan._factors is not None
     _check_fast_against_direct(plan, seed=420)
     _check_reconstruction_against_direct(plan, seed=421)
     window.data[7, 3, 0] += 1e-9 * np.max(qnorm(window.data))
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, window)
-    assert _window_factors(plan) is None
+    assert plan._factors is None
     _check_fast_against_direct(plan, seed=420)
     _check_reconstruction_against_direct(plan, seed=421)
+
+
+@pytest.mark.parametrize("window", ["factored", "two-axis"])
+def test_a_plan_analyses_its_window_once(monkeypatch, window):
+    # one streamed pass with both reducers, then a dense field and its
+    # reconstruction, all on one plan: each analysis runs at most once,
+    # and the term split only for a window that does not factor
+    monkeypatch.setenv("QTF_THREADS", "2")
+    ax1, ax2 = Axis.centered(12, 6.0), Axis.centered(10, 5.0)
+    phi = (gaussian_signal(ax1, ax2, 1.5, amplitude=quat(0.8, 0.3, 0.0, 0.1))
+           if window == "factored" else random_signal(ax1, ax2, seed=422))
+    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, phi)
+    runs = Counter()
+    for name in ("_factors", "_terms"):
+        analysis = getattr(StqolctPlan, name)
+
+        def counting(plan, name=name, func=analysis.func):
+            runs[name] += 1
+            return func(plan)
+
+        monkeypatch.setattr(analysis, "func", counting)
+    f = random_signal(ax1, ax2, seed=423)
+    _stream(f, plan, _FieldSums(plan), _Reconstruction(plan))
+    stqolct_reconstruct(stqolct_forward(f, plan))
+    factors = plan._factors
+    assert runs == ({"_factors": 1} if window == "factored" else {"_factors": 1, "_terms": 1})
+    assert (factors is None) == (window == "two-axis")
+    assert plan._factors is factors
 
 
 def _rel(a, b):
@@ -654,7 +701,7 @@ def test_each_engine_is_bit_identical_at_1_2_and_3_threads(monkeypatch, window, 
            "rank-one": lambda: factored_window(ax1, ax2, seed=416),
            "random": lambda: random_signal(ax1, ax2, seed=416)}[window]()
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, phi, stride=stride)
-    assert (_window_factors(plan) is None) == (window == "random")
+    assert (plan._factors is None) == (window == "random")
     f = random_signal(plan.ax1, plan.ax2, seed=417)
     runs = []
     for threads in ("1", "2", "3"):
