@@ -12,7 +12,8 @@ import sys
 
 from .errors import FormatError, ParameterError, ShapeError
 from .fileio import load_signal, save_field, save_signal
-from .grid import Axis, chirp_signal, gaussian_signal, impulse_signal, pointwise_mul
+from .grid import (Axis, _check_memory, chirp_signal, gaussian_signal, impulse_signal,
+                   pointwise_mul)
 from .qft import QftPlan, qft_forward
 from .qolct import OlctParams, QolctPlan, qolct_forward
 from .quaternion import quat
@@ -101,6 +102,8 @@ def _cmd_gen(args):
         f = pointwise_mul(load_signal(args.a), load_signal(args.b))
     else:
         ax1, ax2 = _gen_axes(args)
+        # four float64 components per sample
+        _check_memory(32 * ax1.n * ax2.n, f"a {args.kind} signal of shape ({ax1.n}, {ax2.n}, 4)")
         if args.kind == "gaussian":
             amplitude = _parse_quat(args.amplitude) if args.amplitude else None
             f = gaussian_signal(ax1, ax2, args.alpha, amplitude)

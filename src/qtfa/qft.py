@@ -218,11 +218,9 @@ def _check_signal_axes(f, ax1, ax2, what):
         raise ShapeError(f"signal axes do not match the plan's {what} axes")
 
 
-def qft_forward(f: GridSignal2D, plan: QftPlan | None = None, mode="fast") -> GridSignal2D:
+def qft_forward(f: GridSignal2D, plan: QftPlan, mode="fast") -> GridSignal2D:
     """Transform onto the plan's frequency grid."""
     _check_mode(mode)
-    if plan is None:
-        plan = QftPlan.for_axes(f.ax1, f.ax2)
     _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qtfa import cli, load_field, load_signal
+from qtfa import cli, grid, load_field, load_signal
 from qtfa.cli import main
 from qtfa.errors import FormatError
 from qtfa.verify import UNGATED_CHECKS, load_report
@@ -71,12 +71,37 @@ class TestGen:
         def unallocatable(*args):
             raise MemoryError("Unable to allocate 1.19 TiB for an array")
 
+        # with no MemAvailable to check against, the request reaches the allocator
+        monkeypatch.setattr(grid, "_memory_budget", lambda: None)
         monkeypatch.setattr(cli, "gaussian_signal", unallocatable)
         out = tmp_path / "x.qs2d"
         assert run("gen", "--kind", "gaussian", "--n", 200000, "-o", out) == 2
         err = capsys.readouterr().err
         assert err == "error: out of memory: Unable to allocate 1.19 TiB for an array\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flags", [("gaussian", ()), ("chirp", ("--rate1", 0.5)),
+                                             ("impulse", ("--at", "3,5"))])
+    def test_over_budget_exits_2_before_it_allocates(self, tmp_path, monkeypatch, capsys,
+                                                     kind, flags):
+        # a 16 x 12 signal is 6144 bytes; the budget is one byte less
+        def unreachable(*args):
+            raise AssertionError("the signal was built")
+
+        monkeypatch.setattr(grid, "_memory_budget", lambda: 6143)
+        monkeypatch.setattr(cli, f"{kind}_signal", unreachable)
+        out = tmp_path / "x.qs2d"
+        assert run("gen", "--kind", kind, *flags, "--n", 16, "--n2", 12, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: a {kind} signal of shape (16, 12, 4) needs 6144 bytes, over "
+                       "the memory budget of 6143 bytes (MemAvailable)\n")
+        assert not out.exists()
+
+    def test_a_signal_of_exactly_the_budget_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(grid, "_memory_budget", lambda: 6144)
+        out = tmp_path / "x.qs2d"
+        assert run("gen", "--kind", "gaussian", "--n", 16, "--n2", 12, "-o", out) == 0
+        assert load_signal(out).data.shape == (16, 12, 4)
 
 
 class TestTransform:
