@@ -14,10 +14,10 @@ from .errors import FormatError, ParameterError, ShapeError
 from .fileio import load_signal, save_field, save_signal
 from .grid import (Axis, _check_memory, chirp_signal, gaussian_signal, impulse_signal,
                    pointwise_mul)
-from .qft import QftPlan, qft_forward
+from .qft import _MODES, QftPlan, qft_forward
 from .qolct import OlctParams, QolctPlan, qolct_forward
 from .quaternion import quat
-from .stqolct import StqolctPlan, stqolct_forward
+from .stqolct import _ROUTES, StqolctPlan, stqolct_forward
 from .verify import (UNGATED_CHECKS, RunConfig, format_report_table, gated_failures,
                      load_report, run_verification, write_report)
 
@@ -55,9 +55,9 @@ def _build_parser():
     tr.add_argument("-o", "--output", required=True)
     tr.add_argument("--A1", default=None, help="axis-1 parameters 'a,b,c,d,p,q'")
     tr.add_argument("--A2", default=None, help="axis-2 parameters 'a,b,c,d,p,q'")
-    tr.add_argument("--mode", default=None, choices=["direct", "fast"],
+    tr.add_argument("--mode", default=None, choices=_MODES,
                     help="qft and qolct (default fast)")
-    tr.add_argument("--route", default=None, choices=["direct", "via_qolct", "via_qft"],
+    tr.add_argument("--route", default=None, choices=_ROUTES,
                     help="stqolct (default via_qolct)")
     tr.add_argument("--window", default=None, help="window signal file (stqolct)")
     tr.add_argument("--u-stride", type=int, default=None, dest="u_stride",

@@ -99,21 +99,22 @@ class GridSignal2D:
     def cell_area(self):
         return self.ax1.step * self.ax2.step
 
-    def same_axes(self, other):
-        return self.ax1 == other.ax1 and self.ax2 == other.ax2
-
     def copy(self):
         return GridSignal2D(self.ax1, self.ax2, self.data.copy())
 
 
-def _check_axes(f, g):
-    if not f.same_axes(g):
-        raise ShapeError("signals are sampled on different grids")
+def _check_axes(f, ax1, ax2, what):
+    """The one grid-match rule: raise ShapeError unless f is sampled on (ax1, ax2).
+
+    ``what`` says what does not match; the message adds both grids.
+    """
+    if f.ax1 != ax1 or f.ax2 != ax2:
+        raise ShapeError(f"{what}: {f.ax1}, {f.ax2} against {ax1}, {ax2}")
 
 
 def inner_product(f: GridSignal2D, g: GridSignal2D):
     """Quadrature inner product sum f(x) conj(g(x)) dA, a quaternion."""
-    _check_axes(f, g)
+    _check_axes(g, f.ax1, f.ax2, "signals are sampled on different grids")
     return np.sum(qmul(f.data, qconj(g.data)), axis=(0, 1)) * f.cell_area
 
 
@@ -124,7 +125,7 @@ def l2_norm(f: GridSignal2D) -> float:
 
 def pointwise_mul(f: GridSignal2D, g: GridSignal2D) -> GridSignal2D:
     """Cellwise Hamilton product f(x)*g(x)."""
-    _check_axes(f, g)
+    _check_axes(g, f.ax1, f.ax2, "signals are sampled on different grids")
     return GridSignal2D(f.ax1, f.ax2, qmul(f.data, g.data))
 
 

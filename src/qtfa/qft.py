@@ -37,10 +37,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .grid import Axis, GridSignal2D, frequency_axis
+from .grid import Axis, GridSignal2D, _check_axes, frequency_axis
 from .quaternion import qmatmul, qnorm, unit_exp
 
 __all__ = ["QftPlan", "qft_forward", "qft_inverse", "qft_modulus"]
+
+#: the evaluation modes of every transform with a direct oracle
+_MODES = ("direct", "fast")
 
 #: the inverse QFT weight 1/(2*pi)^2
 _INVERSE_NORM = 1.0 / (4.0 * np.pi**2)
@@ -207,21 +210,16 @@ def _transform(data, profiles):
     return _join_channels(*channels)
 
 
-def _check_mode(mode):
-    # the one mode check of every transform with a direct oracle
-    if mode not in ("direct", "fast"):
-        raise ParameterError(f"mode must be 'direct' or 'fast', got {mode!r}")
-
-
-def _check_signal_axes(f, ax1, ax2, what):
-    if f.ax1 != ax1 or f.ax2 != ax2:
-        raise ShapeError(f"signal axes do not match the plan's {what} axes")
+def _check_choice(name, value, choices):
+    """The one membership check of a transform choice, over ``_MODES`` or ``stqolct._ROUTES``."""
+    if value not in choices:
+        raise ParameterError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def qft_forward(f: GridSignal2D, plan: QftPlan, mode="fast") -> GridSignal2D:
     """Transform onto the plan's frequency grid."""
-    _check_mode(mode)
-    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
+    _check_choice("mode", mode, _MODES)
+    _check_axes(f, plan.ax1, plan.ax2, "signal axes do not match the plan's spatial axes")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = unit_exp("i", -np.outer(plan.w1.coords, plan.ax1.coords))
@@ -238,8 +236,8 @@ def qft_inverse(F: GridSignal2D, plan: QftPlan, mode="fast") -> GridSignal2D:
     Applies the conjugate kernel pair with weight dw1*dw2/(2*pi)^2; on a
     reciprocal grid pair this is the exact inverse of qft_forward.
     """
-    _check_mode(mode)
-    _check_signal_axes(F, plan.w1, plan.w2, "frequency")
+    _check_choice("mode", mode, _MODES)
+    _check_axes(F, plan.w1, plan.w2, "signal axes do not match the plan's frequency axes")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = unit_exp("i", np.outer(plan.ax1.coords, plan.w1.coords))

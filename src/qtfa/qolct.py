@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Axis, GridSignal2D, frequency_axis
-from .qft import _check_mode, _check_signal_axes, _profiles, _transform, check_reciprocal
+from .grid import Axis, GridSignal2D, _check_axes, frequency_axis
+from .qft import _MODES, _check_choice, _profiles, _transform, check_reciprocal
 from .quaternion import qconj, qmatmul, unit_exp
 
 __all__ = ["OlctParams", "QolctPlan", "kernel_left", "kernel_right",
@@ -195,8 +195,8 @@ def qolct_inverse_batch(data, plan: QolctPlan):
 
 def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D:
     """Transform onto the plan's output grid."""
-    _check_mode(mode)
-    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
+    _check_choice("mode", mode, _MODES)
+    _check_axes(f, plan.ax1, plan.ax2, "signal axes do not match the plan's spatial axes")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = kernel_left(plan.params1, plan.ax1.coords[None, :], plan.w1.coords[:, None])
@@ -209,8 +209,8 @@ def qolct_forward(f: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D
 
 def qolct_inverse(F: GridSignal2D, plan: QolctPlan, mode="fast") -> GridSignal2D:
     """Inverse transform with the conjugate kernel pair and dw weights."""
-    _check_mode(mode)
-    _check_signal_axes(F, plan.w1, plan.w2, "output")
+    _check_choice("mode", mode, _MODES)
+    _check_axes(F, plan.w1, plan.w2, "signal axes do not match the plan's output axes")
     if mode == "direct":
         # the oracle: kernel quadrature with Hamilton products
         kl = qconj(kernel_left(plan.params1, plan.ax1.coords[:, None],

@@ -119,9 +119,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError
-from .grid import Axis, GridSignal2D, _check_memory, l2_norm, translate_window
-from .qft import (QftPlan, _check_mode, _check_signal_axes, _dft, _dft2, _join_channels,
-                  _phase_planes, _split_channels, qft_forward)
+from .grid import Axis, GridSignal2D, _check_axes, _check_memory, l2_norm, translate_window
+from .qft import (_MODES, QftPlan, _check_choice, _dft, _dft2, _join_channels, _phase_planes,
+                  _split_channels, qft_forward)
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, unit_exp
 
@@ -137,6 +137,7 @@ __all__ = [
     "stqolct_reconstruct",
 ]
 
+#: the computation routes of ``stqolct_forward``
 _ROUTES = ("direct", "via_qolct", "via_qft")
 
 #: a window is taken as q * a(x1) * b(x2) when that product is within this
@@ -204,8 +205,7 @@ class StqolctPlan:
 
     @classmethod
     def create(cls, params1, params2, ax1, ax2, window, stride=1):
-        if window.ax1 != ax1 or window.ax2 != ax2:
-            raise ShapeError("window must be sampled on the signal grid")
+        _check_axes(window, ax1, ax2, "window must be sampled on the signal grid")
         if l2_norm(window) == 0.0:
             raise ParameterError("window must have nonzero norm")
         if not (isinstance(stride, int) and stride >= 1):
@@ -315,15 +315,16 @@ class StqolctField:
 
 def modified_signal(f: GridSignal2D, window: GridSignal2D, u) -> GridSignal2D:
     """f(x) * conj(window(x - u)) for a grid-aligned translation u."""
-    if not f.same_axes(window):
-        raise ShapeError("signal and window are sampled on different grids")
+    _check_axes(window, f.ax1, f.ax2, "signal and window are sampled on different grids")
     shifted = translate_window(window, u)
     return GridSignal2D(f.ax1, f.ax2, qmul(f.data, qconj(shifted.data)))
 
 
-def _check_route(route):
-    if route not in _ROUTES:
-        raise ParameterError(f"route must be one of {_ROUTES}, got {route!r}")
+def _check_stride1(plan, what):
+    """The one stride-1 rule: ``what`` integrates over every translation."""
+    if plan.stride != 1:
+        raise ParameterError(f"{what} integrates over all translations and requires a "
+                             f"stride-1 plan, got stride {plan.stride}")
 
 
 def _translations(plan, values, axes):
@@ -392,7 +393,7 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
     real window costs two multiplies per row where a general quaternion
     window costs four and two adds.
     """
-    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
+    _check_axes(f, plan.ax1, plan.ax2, "signal axes do not match the plan's spatial axes")
     if plan._factors is not None:
         return _factored_engine(f, plan, *plan._factors)
     planes = _phase_planes(plan.qolct._forward_profiles)
@@ -567,8 +568,8 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
     A field over the memory budget raises ParameterError before it is
     allocated.
     """
-    _check_route(route)
-    _check_signal_axes(f, plan.ax1, plan.ax2, "spatial")
+    _check_choice("route", route, _ROUTES)
+    _check_axes(f, plan.ax1, plan.ax2, "signal axes do not match the plan's spatial axes")
     qplan = plan.qolct
     out = _field_array(_field_shape(plan) + (4,))
     if route == "via_qolct":
@@ -798,14 +799,13 @@ def stqolct_reconstruct(field: StqolctField, mode="fast") -> GridSignal2D:
     the translated window, and averages over translations with the
     window's squared norm.
     """
-    _check_mode(mode)
+    _check_choice("mode", mode, _MODES)
     plan = field.plan
     if plan is None:
         raise ParameterError(
             "field carries no plan; reconstruction needs the window and spatial grid"
         )
-    if plan.stride != 1:
-        raise ParameterError("reconstruction requires a stride-1 translation grid")
+    _check_stride1(plan, "reconstruction")
     if mode == "fast":
         rec = _Reconstruction(plan)
         _replay(field, rec)

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .grid import GridSignal2D, l2_norm
 from .qolct import qolct_forward
-from .stqolct import (StqolctField, StqolctPlan, _dense_marginal, _discard, _FieldSums,
-                      modified_signal, stqolct_forward)
+from .stqolct import (StqolctField, StqolctPlan, _check_stride1, _dense_marginal, _discard,
+                      _FieldSums, modified_signal, stqolct_forward)
 
 __all__ = [
     "CellSet",
@@ -204,19 +204,13 @@ def essential_support(obj, eps: float) -> CellSet:
     return CellSet(emap.domain, emap.values.shape, emap.cell_area, indices)
 
 
-def _require_stride1(plan):
-    if plan.stride != 1:
-        raise ParameterError("this check integrates over all translations and "
-                             "requires a stride-1 plan")
-
-
 def donoho_stark_check(f: GridSignal2D, plan: StqolctPlan, eps_m: float, eps_n: float,
                        marginal: EnergyMap | None = None) -> InequalityResult:
     """Support-area product bound |M||N| >= 2*pi*|b1*b2|*(1 - eps_M - eps_N)^2."""
     if eps_m < 0 or eps_n < 0 or eps_m + eps_n >= 1.0:
         raise ParameterError(
             f"need eps_m, eps_n >= 0 with eps_m + eps_n < 1, got {eps_m}, {eps_n}")
-    _require_stride1(plan)
+    _check_stride1(plan, "donoho_stark_check")
     m_set = essential_support(f, eps_m)
     n_set = essential_support(_w_marginal(f, plan, marginal), eps_n)
     b1b2 = abs(plan.qolct.params1.b * plan.qolct.params2.b)
@@ -266,7 +260,7 @@ def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float,
     """Weighted-norm inequality: |w|^(-alpha) coefficient energy vs |x|^alpha signal energy."""
     if not 0.0 <= alpha < 2.0:
         raise ParameterError(f"alpha must lie in [0, 2), got {alpha}")
-    _require_stride1(plan)
+    _check_stride1(plan, "pitt_check")
     marginal = _w_marginal(f, plan, marginal)
     w_radii = _frequency_radii(plan)
     lhs = _pitt_lhs(marginal, w_radii, alpha)
@@ -301,7 +295,7 @@ def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None 
     ``_LOG_UP_H``, which must be <= 0 up to tolerance because alpha = 0 is
     an equality.  The derivative variant is the gated one.
     """
-    _require_stride1(plan)
+    _check_stride1(plan, "log_up_check")
     marginal = _w_marginal(f, plan, marginal)
     w_radii = _frequency_radii(plan)
     x_radii = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :])

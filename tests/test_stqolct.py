@@ -393,8 +393,10 @@ class TestReconstruction:
         plan = make_plan(*small_axes, stride=4)
         f = random_signal(*small_axes, seed=311)
         field = stqolct_forward(f, plan)
-        with pytest.raises(ParameterError):
-            stqolct_reconstruct(field)
+        # both modes: the direct oracle integrates over every translation too
+        for mode in ("fast", "direct"):
+            with pytest.raises(ParameterError, match="stride-1 plan, got stride 4"):
+                stqolct_reconstruct(field, mode=mode)
 
     def test_requires_plan(self, small_axes):
         plan = make_plan(*small_axes)
