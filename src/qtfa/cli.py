@@ -91,7 +91,8 @@ def _parse_quat(text):
 
 def _gen_axes(args):
     ax1 = Axis.centered(args.n, args.extent)
-    ax2 = Axis.centered(args.n2 or args.n, args.extent2 or args.extent)
+    ax2 = Axis.centered(args.n if args.n2 is None else args.n2,
+                        args.extent if args.extent2 is None else args.extent2)
     return ax1, ax2
 
 

@@ -229,7 +229,28 @@ def _axis_from_coords(coords, starts, path):
         # the line that ends the first irregular step
         raise FormatError(f"{path}: axis coordinates are not uniformly spaced",
                           offset=starts[int(np.argmax(bad)) + 1])
-    return Axis(len(coords), float(coords[0]), step)
+    return Axis(len(coords), float(coords[0]), _exact_step(coords, step))
+
+
+def _exact_step(coords, mean):
+    """The step whose ``Axis.coords`` are ``coords`` exactly, else ``mean``.
+
+    The mean of the differences can miss the written step by an ulp, and
+    an axis one ulp off fails every grid match.  The candidates are the
+    mean and (last - first) / (n - 1), each with its neighbours within 2
+    ulps; a hand-written file that none of them reproduces keeps the mean.
+    """
+    k = np.arange(len(coords))
+    for base in (mean, float((coords[-1] - coords[0]) / (len(coords) - 1))):
+        below = above = base
+        candidates = [base]
+        for _ in range(2):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            candidates += [below, above]
+        for step in candidates:
+            if np.array_equal(coords[0] + float(step) * k, coords):
+                return float(step)
+    return mean
 
 
 def save_field(field, path):

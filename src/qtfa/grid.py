@@ -11,6 +11,8 @@ count.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,12 @@ __all__ = [
 _SYMMETRY_TOL = 1e-9
 
 
+def _check_count(n):
+    """An axis's sample count: an integer of at least 2."""
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ParameterError(f"axis needs an integer count of at least 2 samples, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Axis:
     """A uniformly sampled coordinate axis: coordinate(k) = min + k*step."""
@@ -44,16 +52,18 @@ class Axis:
     step: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"axis needs at least 2 samples, got {self.n}")
-        if not self.step > 0:
-            raise ParameterError(f"axis step must be positive, got {self.step}")
+        _check_count(self.n)
+        if not math.isfinite(self.min):
+            raise ParameterError(f"axis min must be finite, got {self.min}")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ParameterError(f"axis step must be positive and finite, got {self.step}")
 
     @classmethod
     def centered(cls, n, extent):
         """Half-bin offset axis covering [-extent, extent) with n samples."""
-        if extent <= 0:
-            raise ParameterError(f"extent must be positive, got {extent}")
+        _check_count(n)
+        if not (extent > 0 and math.isfinite(extent)):
+            raise ParameterError(f"extent must be positive and finite, got {extent}")
         step = 2.0 * extent / n
         return cls(n, -extent + step / 2.0, step)
 

@@ -401,8 +401,8 @@ def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float) -> BeurlingI
     non-constructively, so the value is recorded as a statistic, not
     gated as a pass/fail check.
     """
-    if d < 0:
-        raise ParameterError(f"d must be nonnegative, got {d}")
+    if not 0.0 <= d < math.inf:
+        raise ParameterError(f"d must be finite and nonnegative, got {d}")
     g = modified_signal(f, plan.window, (0.0, 0.0))
     coeff = qolct_forward(g, plan.qolct, mode="fast")
     x_r = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :]).ravel()
@@ -410,7 +410,6 @@ def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float) -> BeurlingI
     log_weight = math.log(f.cell_area) + math.log(coeff.cell_area)
     log_a = _log_magnitude(g.data).ravel()
     log_b = _log_magnitude(coeff.data).ravel()
-    max_term = -np.inf
     chunks = []
     chunk_rows = max(1, (1 << 20) // max(len(w_r), 1))
     for start in range(0, len(x_r), chunk_rows):
@@ -419,15 +418,15 @@ def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float) -> BeurlingI
                  + np.outer(x_r[start:stop], w_r)
                  - d * np.log1p(x_r[start:stop, None] + w_r[None, :])
                  + log_weight)
-        m = float(terms.max()) if terms.size else -np.inf
-        max_term = max(max_term, m)
+        m = float(terms.max())
         if np.isfinite(m):
             chunks.append(m + math.log(float(np.sum(np.exp(terms - m)))))
     if not chunks:
         return BeurlingIntegral(0.0, False)
     top = max(chunks)
     log_total = top + math.log(sum(math.exp(c - top) for c in chunks))
-    saturated = bool(max_term > 709.0 or log_total > 709.0)
+    # log_total is never below a term, so it alone tells saturation
+    saturated = bool(log_total > 709.0)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_total))
     return BeurlingIntegral(value, saturated)

@@ -96,13 +96,22 @@ class TestQs2d:
 
 class TestCsv:
     def test_roundtrip_exact(self, signal, tmp_path):
+        # the data and both axes come back equal, on a sweep of grids that
+        # holds some whose mean coordinate step is an ulp off the step
         path = tmp_path / "f.csv"
-        save_signal(signal, path)
-        back = load_signal(path)
-        assert np.max(np.abs(back.data - signal.data)) < 1e-15
-        assert back.ax1.n == signal.ax1.n
-        assert back.ax1.min == signal.ax1.min
-        assert abs(back.ax1.step - signal.ax1.step) < 1e-15
+        short = Axis.centered(2, 1.0)
+        signals = [signal]
+        for n in range(2, 41):
+            for extent in (0.3, 1.0, 2.5, 4.0, 7.3, 8.0, 12.9):
+                ax = Axis.centered(n, extent)
+                signals += [random_signal(ax, short, seed=n), random_signal(short, ax, seed=n)]
+        drifted = sum(float(np.mean(np.diff(f.ax1.coords))) != f.ax1.step for f in signals)
+        for f in signals:
+            save_signal(f, path)
+            back = load_signal(path)
+            assert (back.ax1, back.ax2) == (f.ax1, f.ax2)
+            assert np.array_equal(back.data, f.data)
+        assert drifted
 
     def test_header_and_line_endings(self, signal, tmp_path):
         path = tmp_path / "f.csv"

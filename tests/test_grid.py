@@ -28,6 +28,30 @@ class TestAxis:
         with pytest.raises(ParameterError):
             Axis(8, 0.0, -1.0)
 
+    @pytest.mark.parametrize("n, amin, step, message", [
+        (4.5, 0.0, 1.0, "integer count"),       # used to have 5 coordinates
+        (4.0, 0.0, 1.0, "integer count"),
+        (4, float("nan"), 1.0, "min must be finite"),
+        (4, float("-inf"), 1.0, "min must be finite"),
+        (4, 0.0, float("inf"), "step must be positive and finite"),
+        (4, 0.0, float("nan"), "step must be positive and finite"),
+    ])
+    def test_rejects_a_non_integral_count_and_non_finite_coordinates(self, n, amin, step,
+                                                                     message):
+        with pytest.raises(ParameterError, match=message):
+            Axis(n, amin, step)
+
+    @pytest.mark.parametrize("n, extent, message", [
+        (0, 8.0, "got 0"),                      # used to divide by zero
+        (1, 8.0, "got 1"),
+        (16, float("inf"), "extent must be positive and finite, got inf"),
+        (16, float("nan"), "extent must be positive and finite, got nan"),
+        (16, 0.0, "extent must be positive and finite, got 0.0"),
+    ])
+    def test_centered_checks_count_and_extent_first(self, n, extent, message):
+        with pytest.raises(ParameterError, match=message):
+            Axis.centered(n, extent)
+
 
 class TestInnerProduct:
     def test_self_inner_product_is_norm_squared(self, small_axes):

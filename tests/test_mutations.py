@@ -1,8 +1,9 @@
 """Mutation audit: each defect below must fail at least one gated record.
 
 Each mutant is monkeypatched into the package and the records of every
-per-parameter-set task of the default corpus are run at n=16.  The
-records that caught each mutant are printed (``pytest -s``).
+per-parameter-set task of the default corpus, and of the ``special-fn``
+task, are run at n=16.  The records that caught each mutant are printed
+(``pytest -s``).
 
 Not on the list: a ``_FieldSums`` that zeroes its last row (marginal
 slot, ``u_energy`` row and peak) still gives no gated failure, as the
@@ -10,10 +11,12 @@ corpus Gaussian has no energy there; it waits for a grid-exact oracle of
 the streamed sums.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from qtfa import qft, qolct, stqolct
+from qtfa import qft, qolct, stqolct, uncertainty, verify
 from qtfa.quaternion import qconj
 from qtfa.verify import (_CHECKS, RunConfig, default_config_dict, gated_failures,
                          run_verification)
@@ -197,6 +200,33 @@ def _transposed_moyal_gram(monkeypatch):
     monkeypatch.setattr(stqolct, "_conj_product_sum", lambda gram: conj_product_sum(gram.T))
 
 
+def _pitt_formula(formula):
+    # pitt_constant computed by a mistaken formula; each of these keeps
+    # C(0) = 4 pi^2, so pitt-constant-zero cannot see it
+    def patch(monkeypatch):
+        def mutant(alpha, constant=uncertainty.pitt_constant):
+            constant(alpha)  # the domain check
+            return formula(alpha, math.gamma)
+
+        # verify holds its own reference
+        monkeypatch.setattr(uncertainty, "pitt_constant", mutant)
+        monkeypatch.setattr(verify, "pitt_constant", mutant)
+
+    return patch
+
+
+PITT_MUTANTS = {
+    "pitt-ratio-not-squared": lambda a, g: 4 * math.pi**2 / 2**a * g((2 - a) / 4) / g((2 + a) / 4),
+    "pitt-two-to-two-alpha": lambda a, g: (4 * math.pi**2 / 4**a
+                                           * (g((2 - a) / 4) / g((2 + a) / 4)) ** 2),
+    "pitt-gamma-of-halves": lambda a, g: (4 * math.pi**2 / 2**a
+                                          * (g((2 - a) / 2) / g((2 + a) / 2)) ** 2),
+    "pitt-no-two-to-alpha": lambda a, g: 4 * math.pi**2 * (g((2 - a) / 4) / g((2 + a) / 4)) ** 2,
+    "pitt-ratio-inverted": lambda a, g: (4 * math.pi**2 / 2**a
+                                         * (g((2 + a) / 4) / g((2 - a) / 4)) ** 2),
+}
+
+
 MUTANTS = {
     "conj-q-reconstruction": _conj_q_reconstruction,
     "reconstruction-skips-last-row": _reconstruction_skips_the_last_row,
@@ -212,6 +242,7 @@ MUTANTS = {
     "inverse-without-b-weight": _inverse_without_b_weight,
     "transposed-moyal-gram": _transposed_moyal_gram,
     "forward-skips-a-row-onto-a-stale-spare": _forward_skips_a_row_onto_a_stale_spare,
+    **{name: _pitt_formula(formula) for name, formula in PITT_MUTANTS.items()},
 }
 
 
@@ -219,7 +250,8 @@ MUTANTS = {
 def test_each_mutant_fails_a_gated_record(monkeypatch, mutant):
     MUTANTS[mutant](monkeypatch)
     config = RunConfig.from_dict({**default_config_dict(), "n": 16})
-    only = [name for _, per_set, names in _CHECKS.values() if per_set for name in names]
+    only = [name for key, (_, per_set, names) in _CHECKS.items()
+            if per_set or key == "special-fn" for name in names]
     failures = gated_failures(run_verification(config, only=only))
     caught = sorted({r.name for r in failures})
     print(f"{mutant}: {len(failures)} gated failures in {caught}")

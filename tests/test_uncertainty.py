@@ -377,6 +377,13 @@ class TestBeurling:
         with pytest.raises(ParameterError):
             beurling_integral(f, plan4, -1.0)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf])
+    def test_rejects_non_finite_d(self, plan4, d):
+        # d = nan used to give value 0.0, not saturated
+        f = gaussian_signal(plan4.ax1, plan4.ax2, 1.0)
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            beurling_integral(f, plan4, d)
+
 
 def test_field_marginal_matches_direct_sum(field32):
     _, field = field32

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from qtfa import verify
+from qtfa import grid, verify
 from qtfa.errors import ParameterError
 from qtfa.verify import (_KNOWN_CHECKS, RunConfig, UNGATED_CHECKS, default_config_dict,
                          format_report_table, gated_failures, load_report,
@@ -105,8 +105,7 @@ class TestRunVerification:
 
     def test_default_corpus_record_order(self):
         head = (["quat-table", "quat-norm-multiplicative", "quat-conj-antiautomorphism",
-                 "quat-scalar-cyclic", "pitt-constant-zero"]
-                + ["pitt-constant-continuity"] * 2
+                 "quat-scalar-cyclic", "pitt-constant-zero", "pitt-log-slope"]
                 + ["qft-plancherel", "qft-roundtrip"] * 3
                 + ["qft-plancherel", "qft-oracle"] + ["hardy-qft"] * 4 + ["hardy-chirp"])
         per_set = (["qolct-plancherel", "qolct-roundtrip"] * 3
@@ -206,6 +205,31 @@ class TestRunVerification:
         results = run_verification(config, only=only)
         assert {r.name for r in results} == set(only)
         assert len(calls) == passes * len(config.param_sets)
+
+    @pytest.mark.parametrize("n, field_bytes", [(32, 64 * 32**4), (64, 32 * 64**4)])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_dense_fields_over_the_budget_raise_before_any_task(self, monkeypatch, n,
+                                                                 field_bytes, threads):
+        # at n = 32 a Moyal record's two fields are the larger, at n = 64
+        # the corollary's; one set holds four such tasks
+        ran = []
+        for key, (_, per_set, names) in verify._CHECKS.items():
+            monkeypatch.setitem(verify._CHECKS, key,
+                                (lambda *args, key=key: ran.append(key) or [], per_set, names))
+        monkeypatch.setenv("QTF_THREADS", str(threads))
+        need = threads * field_bytes
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need - 1)
+        with pytest.raises(ParameterError, match=f"{threads} concurrent verify tasks at n = {n} "
+                                                 f"needs {need} bytes"):
+            run_verification(small_config(n=n))
+        assert ran == []
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need)
+        run_verification(small_config(n=n))
+        assert len(ran) == len(verify._CHECKS)
+
+    def test_a_selection_without_dense_fields_needs_no_budget(self, monkeypatch):
+        monkeypatch.setattr(grid, "_memory_budget", lambda: 0)
+        assert run_verification(small_config(), only=["qft-oracle", "energy"])
 
     def test_ungated_checks_never_gate(self):
         results = run_verification(small_config(), only=sorted(UNGATED_CHECKS))
