@@ -6,7 +6,8 @@ sample sits exactly at the origin (for even n).  That keeps weights such
 as \\|w\\|^(-alpha) and ln\\|w\\| finite at every node in the uncertainty
 checks.  All quadrature is a plain Riemann sum with weight step1*step2;
 sums use numpy's pairwise reduction, so results do not depend on thread
-count.
+count.  Every rule that a signal must lie on a given grid is
+``_check_axes``, which raises ShapeError naming both grids.
 """
 
 from __future__ import annotations

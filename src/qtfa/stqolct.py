@@ -82,7 +82,8 @@ fields with ``stqolct_forward`` and sums their Gram products in chunks
 of ``_GRAM_ROWS`` rows, in row order, and takes its grid-exact right
 side from the window cover (``_window_cover``).  Identity checks
 (energy, Moyal, reconstruction) integrate over all translations and
-therefore require stride 1.
+therefore require stride 1; ``_check_stride1`` is that rule's one home,
+for ``stqolct_reconstruct`` and the uncertainty checks alike.
 
 Spare field arrays.  ``stqolct_forward`` takes its output array from
 ``_field_array``.  Two callers build dense fields only to reduce them

@@ -22,7 +22,9 @@ So each costly input of a set is a task of its own, and a selection
 (``only``) picks tasks alone: a task runs when it emits a selected name,
 computes all its records, and one name filter at the end keeps the
 selected ones.  Each check is deterministic for a fixed config, so
-results do not depend on the degree of parallelism.
+results do not depend on the degree of parallelism.  Before any task
+runs, the dense fields that the pool's workers may hold at once are
+checked against the memory budget (``_check_dense_fields``).
 """
 
 from __future__ import annotations
