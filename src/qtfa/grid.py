@@ -66,6 +66,8 @@ class Axis:
         if not (extent > 0 and math.isfinite(extent)):
             raise ParameterError(f"extent must be positive and finite, got {extent}")
         step = 2.0 * extent / n
+        if not math.isfinite(step):
+            raise ParameterError(f"extent {extent} is too large: the step 2*extent/n overflows")
         return cls(n, -extent + step / 2.0, step)
 
     @property
@@ -148,12 +150,13 @@ def _radius_sq(ax1, ax2):
 
 def gaussian_signal(ax1, ax2, alpha, amplitude=None) -> GridSignal2D:
     """amplitude * exp(-alpha*|x|^2); amplitude is a quaternion, default 1."""
-    if alpha <= 0:
-        raise ParameterError(f"gaussian width alpha must be positive, got {alpha}")
-    if amplitude is None:
-        amplitude = quat(1.0)
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ParameterError(f"gaussian width alpha must be positive and finite, got {alpha}")
+    amplitude = quat(1.0) if amplitude is None else np.asarray(amplitude, dtype=float)
+    if not np.isfinite(amplitude).all():
+        raise ParameterError(f"gaussian amplitude must be finite, got {amplitude.tolist()}")
     envelope = np.exp(-alpha * _radius_sq(ax1, ax2))
-    data = np.asarray(amplitude, dtype=float) * envelope[:, :, None]
+    data = amplitude * envelope[:, :, None]
     return GridSignal2D(ax1, ax2, data)
 
 

@@ -12,7 +12,8 @@ side through one input, ``marginal=``: the u-integrated energy map of
 the ST-QOLCT (``field_w_energy_map``, or the marginal of a streamed
 pass).  A marginal off the plan's frequency grid, in shape or cell area,
 is a ShapeError.  Without one, a check builds the dense stride-1 field
-of f and takes its marginal.
+of f and takes its marginal.  The logarithmic check is one record, the
+Pitt-type bound's derivative at alpha = 0 in closed form.
 
 Grids are half-bin centered, so no frequency sample sits at w = 0 and
 the |w|^(-alpha) and ln|w| weights are finite at every node; the checks
@@ -56,9 +57,6 @@ _ENERGY_SLACK = 1e-12
 
 # the Euler-Mascheroni constant, for log_up_constant's closed form
 _EULER_GAMMA = 0.5772156649015329
-
-# the step alpha = h of log_up_check's difference quotient
-_LOG_UP_H = 1e-3
 
 
 @dataclass(frozen=True)
@@ -242,29 +240,26 @@ def _frequency_radii(plan):
     return r
 
 
-def _pitt_lhs(marginal: EnergyMap, w_radii, alpha):
-    return float(np.sum(w_radii ** (-alpha) * marginal.values)) * marginal.cell_area
+def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float,
+               marginal: EnergyMap | None = None) -> InequalityResult:
+    """Weighted-norm inequality: |w|^(-alpha) coefficient energy vs |x|^alpha signal energy.
 
-
-def _pitt_rhs(f, plan, alpha):
+    lhs = sum |w|^(-alpha) M dw over the marginal M, and rhs =
+    C(alpha) / (4 pi^2 |b1 b2|^alpha) * ||phi||^2 * sum |x|^alpha |f|^2 dx,
+    with C = ``pitt_constant``.
+    """
+    if not 0.0 <= alpha < 2.0:
+        raise ParameterError(f"alpha must lie in [0, 2), got {alpha}")
+    _check_stride1(plan, "pitt_check")
+    marginal = _w_marginal(f, plan, marginal)
+    lhs = float(np.sum(_frequency_radii(plan) ** (-alpha) * marginal.values)) \
+        * marginal.cell_area
     x_r = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :])
     weighted = float(np.sum(x_r**alpha * np.sum(f.data * f.data, axis=-1))) \
         * f.cell_area
     b1b2 = abs(plan.qolct.params1.b * plan.qolct.params2.b)
     win_sq = l2_norm(plan.window) ** 2
-    return pitt_constant(alpha) / (4.0 * math.pi**2 * b1b2**alpha) * win_sq * weighted
-
-
-def pitt_check(f: GridSignal2D, plan: StqolctPlan, alpha: float,
-               marginal: EnergyMap | None = None) -> InequalityResult:
-    """Weighted-norm inequality: |w|^(-alpha) coefficient energy vs |x|^alpha signal energy."""
-    if not 0.0 <= alpha < 2.0:
-        raise ParameterError(f"alpha must lie in [0, 2), got {alpha}")
-    _check_stride1(plan, "pitt_check")
-    marginal = _w_marginal(f, plan, marginal)
-    w_radii = _frequency_radii(plan)
-    lhs = _pitt_lhs(marginal, w_radii, alpha)
-    rhs = _pitt_rhs(f, plan, alpha)
+    rhs = pitt_constant(alpha) / (4.0 * math.pi**2 * b1b2**alpha) * win_sq * weighted
     tol = 1e-6
     return InequalityResult(
         name="pitt",
@@ -286,46 +281,53 @@ def log_up_constant() -> float:
     return -_EULER_GAMMA - math.log(2.0)
 
 
-def log_up_check(f: GridSignal2D, plan: StqolctPlan, marginal: EnergyMap | None = None):
-    """Logarithmic uncertainty bound, two variants.
+def log_up_check(f: GridSignal2D, plan: StqolctPlan,
+                 marginal: EnergyMap | None = None) -> InequalityResult:
+    """Logarithmic uncertainty bound, the derivative of Pitt's at alpha = 0.
 
-    Returns (literal, derivative): ``literal`` evaluates the printed
-    inequality as stated; ``derivative`` evaluates the one-sided
-    difference quotient of the weighted-norm functional at alpha = h =
-    ``_LOG_UP_H``, which must be <= 0 up to tolerance because alpha = 0 is
-    an equality.  The derivative variant is the gated one.
+    ``pitt_check`` compares L(alpha) = sum |w|^(-alpha) M dw with
+    R(alpha) = C(alpha) / (4 pi^2 |b1 b2|^alpha) * ||phi||^2 *
+    sum |x|^alpha |f|^2 dx, and L <= R on [0, 2).  At alpha = 0,
+    C(0) = 4 pi^2 and, in the continuum, both sides are the energy
+    E = ||phi||^2 ||f||^2, so L - R has its maximum 0 there and its right
+    derivative at 0 is at most 0 (W. Beckner, Proc. AMS 123 (1995)
+    1897-1905).  With
+    C'(0) / C(0) = -``log_up_constant()`` (the log-slope that the
+    ``pitt-log-slope`` record certifies):
+
+        L'(0) = -sum ln|w| M dw,
+        R'(0) = (-log_up_constant() - ln|b1 b2|) E
+                + ||phi||^2 sum ln|x| |f|^2 dx,
+
+    and L'(0) <= R'(0) reads
+
+        sum ln|w| M dw + ||phi||^2 sum ln|x| |f|^2 dx
+            >= (log_up_constant() + ln|b1 b2|) E,
+
+    the record's lhs and rhs.  The derivative is taken in closed form:
+    a difference quotient would also divide the grid's residual
+    L(0) - R(0) by its step.  Under a joint dilation of f and phi, the
+    ln|w| and ln|x| terms, each of weight E, move by opposite amounts, so
+    the bound does not depend on the scale.  The record passes when
+    lhs >= rhs up to a tolerance relative to E.
     """
     _check_stride1(plan, "log_up_check")
     marginal = _w_marginal(f, plan, marginal)
-    w_radii = _frequency_radii(plan)
     x_radii = np.hypot(plan.ax1.coords[:, None], plan.ax2.coords[None, :])
     sig_energy = np.sum(f.data * f.data, axis=-1)
     win_sq = l2_norm(plan.window) ** 2
     b1b2 = abs(plan.qolct.params1.b * plan.qolct.params2.b)
-    four_pi_sq = 4.0 * math.pi**2
-
-    lhs_lit = (float(np.sum(np.log(w_radii) * marginal.values)) * marginal.cell_area
-               + win_sq / four_pi_sq
-               * float(np.sum(np.log(x_radii) * sig_energy)) * f.cell_area)
-    rhs_lit = ((log_up_constant() + math.log(b1b2)) / four_pi_sq
-               * win_sq * float(np.sum(sig_energy)) * f.cell_area)
-    literal = InequalityResult(
-        name="log-up-literal",
-        params={},
-        lhs=lhs_lit, rhs=rhs_lit, margin=lhs_lit - rhs_lit, tolerance=0.0,
-        passed=bool(lhs_lit >= rhs_lit),
-    )
-
-    h = _LOG_UP_H
-    quotient = (_pitt_lhs(marginal, w_radii, h) - _pitt_rhs(f, plan, h)) / h
+    energy = win_sq * float(np.sum(sig_energy)) * f.cell_area
+    lhs = (float(np.sum(np.log(_frequency_radii(plan)) * marginal.values)) * marginal.cell_area
+           + win_sq * float(np.sum(np.log(x_radii) * sig_energy)) * f.cell_area)
+    rhs = (log_up_constant() + math.log(b1b2)) * energy
     tol = 1e-6
-    derivative = InequalityResult(
-        name="log-up-derivative",
-        params={"h": h},
-        lhs=quotient, rhs=0.0, margin=-quotient, tolerance=tol,
-        passed=bool(quotient <= tol),
+    return InequalityResult(
+        name="log-up",
+        params={},
+        lhs=lhs, rhs=rhs, margin=lhs - rhs, tolerance=tol,
+        passed=bool(lhs - rhs >= -tol * energy),
     )
-    return literal, derivative
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,27 @@ class TestGen:
         assert "unparsable impulse cell" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
+        (("--alpha", "inf"), "alpha must be positive and finite, got inf"),  # exit 0
+        (("--alpha", "nan"), "alpha must be positive and finite, got nan"),
+        (("--amplitude", "nan,0,0,0"), "amplitude must be finite, got [nan, 0.0, 0.0, 0.0]"),
+    ])
+    def test_a_non_finite_gaussian_exits_2_naming_the_value(self, tmp_path, capsys, flags,
+                                                            named):
+        # an infinite alpha wrote an all-zero signal; a nan named neither flag
+        out = tmp_path / "x.qs2d"
+        assert run("gen", "--kind", "gaussian", *flags, "--n", 8, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
         (("--n", 0), "got 0"),                  # divided by before any check: exit 1
         (("--n2", 0), "got 0"),                 # taken as --n, exit 0
         (("--n2", 1), "got 1"),
         (("--extent2", 0), "got 0.0"),          # taken as --extent, exit 0
         (("--extent", "inf"), "extent must be positive and finite, got inf"),
         (("--extent", "nan"), "extent must be positive and finite, got nan"),
+        (("--extent", "1e308"), "extent 1e+308 is too large"),  # named the axis min
     ])
     def test_a_bad_grid_exits_2_naming_the_value(self, tmp_path, capsys, flags, named):
         out = tmp_path / "x.qs2d"
@@ -296,13 +311,13 @@ class TestVerify:
         report = tmp_path / "report.jsonl"
         assert run("verify", "--n", "16", "--out", report) == 0
         verdict = capsys.readouterr().out.splitlines()[-1]
-        assert verdict == f"112 checks, 0 gated failures (99 gated) -> report {report}"
+        assert verdict == f"108 checks, 0 gated failures (99 gated) -> report {report}"
         names = [json.loads(line)["name"] for line in report.read_text().splitlines()]
-        assert len(names) == 112
+        assert len(names) == 108
         assert sum(name not in UNGATED_CHECKS for name in names) == 99
         # the form the benchmark's verify-corpus workload parses
         parsed = re.search(r"(\d+) checks, (\d+) gated failures", verdict)
-        assert parsed.groups() == ("112", "0")
+        assert parsed.groups() == ("108", "0")
 
     def test_only_filter(self, tmp_path):
         report = tmp_path / "report.jsonl"

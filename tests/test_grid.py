@@ -47,6 +47,7 @@ class TestAxis:
         (16, float("inf"), "extent must be positive and finite, got inf"),
         (16, float("nan"), "extent must be positive and finite, got nan"),
         (16, 0.0, "extent must be positive and finite, got 0.0"),
+        (16, 1e308, r"extent 1e\+308 is too large"),  # 2*extent overflows
     ])
     def test_centered_checks_count_and_extent_first(self, n, extent, message):
         with pytest.raises(ParameterError, match=message):
@@ -132,6 +133,16 @@ class TestGaussian:
     def test_rejects_nonpositive_width(self, small_axes):
         with pytest.raises(ParameterError):
             gaussian_signal(*small_axes, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha, amplitude, message", [
+        (float("inf"), None, "alpha must be positive and finite, got inf"),
+        (float("nan"), None, "alpha must be positive and finite, got nan"),
+        (1.0, [1.0, float("inf"), 0.0, 0.0], r"amplitude must be finite, got \[1.0, inf"),
+    ])
+    def test_rejects_non_finite_width_and_amplitude(self, small_axes, alpha, amplitude,
+                                                    message):
+        with pytest.raises(ParameterError, match=message):
+            gaussian_signal(*small_axes, alpha, amplitude)
 
 
 class TestChirp:

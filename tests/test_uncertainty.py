@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import random_signal
-from qtfa import (Axis, CellSet, GridSignal2D, OlctParams, QftPlan, StqolctPlan,
-                  beurling_integral, chirp_signal, donoho_stark_check,
+from qtfa import (Axis, CellSet, EnergyMap, GridSignal2D, OlctParams, QftPlan,
+                  StqolctPlan, beurling_integral, chirp_signal, donoho_stark_check,
                   epsilon_concentration, essential_support, field_w_energy_map,
                   gaussian_signal, hardy_decay_fit, impulse_signal, l2_norm,
                   log_up_check, log_up_constant, pitt_check, pitt_constant,
                   qft_forward, qft_modulus, signal_energy_map, stqolct_forward)
 from qtfa.errors import ParameterError, ShapeError
+from qtfa.verify import RunConfig, _field_inputs, default_config_dict
 
 EULER_GAMMA = 0.5772156649015329
 UNIT_B = OlctParams(1, 1, 0, 1, 0.2, -0.4)
 MIXED = OlctParams(0.6, 0.5, -0.8, 1.0, 0.3, -0.2)
+CORPUS32 = RunConfig.from_dict({**default_config_dict(), "n": 32})
 
 
 def cells_from_indices(f, pairs):
@@ -250,21 +252,44 @@ class TestLogUp:
         assert log_up_constant() == pytest.approx(expect, abs=1e-9)
         assert log_up_constant() == pytest.approx(-1.2703628, abs=1e-6)
 
-    def test_derivative_variant_passes(self, plan32, marginal32):
-        f, marginal = marginal32
-        literal, derivative = log_up_check(f, plan32, marginal=marginal)
-        assert derivative.passed
-        assert derivative.lhs <= 1e-6
+    @pytest.mark.parametrize("pset", CORPUS32.param_sets, ids=lambda pset: pset[0])
+    def test_margin_is_the_pitt_margins_slope_at_zero(self, pset):
+        # the closed form against a difference quotient of pitt margins,
+        # whose alpha = 0 residual cancels; offset-mixed, the one set with
+        # |b1 b2| != 1, pins the sign of ln|b1 b2|
+        plan, f = _field_inputs(CORPUS32, pset)
+        marginal = field_w_energy_map(stqolct_forward(f, plan))
+        h = 1e-4
+        slope = (pitt_check(f, plan, h, marginal=marginal).margin
+                 - pitt_check(f, plan, 0.0, marginal=marginal).margin) / h
+        res = log_up_check(f, plan, marginal=marginal)
+        assert res.passed
+        assert res.margin == pytest.approx(slope, rel=1e-3)
 
-    def test_literal_variant_homogeneity(self, plan32, marginal32):
-        # scaling f by 2 scales both sides of the literal inequality by 4
+    @pytest.mark.parametrize("signal_rate", [0.05, 1.0, 16.0])
+    @pytest.mark.parametrize("window_rate", [0.05, 1.0, 16.0])
+    def test_passes_under_joint_dilation(self, signal_rate, window_rate):
+        # the printed form with weight 1/4 pi^2 on the x-term failed at
+        # 0.05 / 0.05 (-935 against -31.7); this one is scale-free
+        ax = Axis.centered(32, 8.0)
+        fourier = OlctParams(0, 1, -1, 0, 0, 0)
+        plan = StqolctPlan.create(fourier, fourier, ax, ax,
+                                  gaussian_signal(ax, ax, window_rate), stride=1)
+        res = log_up_check(gaussian_signal(ax, ax, signal_rate), plan)
+        assert res.passed, f"lhs={res.lhs} rhs={res.rhs}"
+
+    def test_fails_on_a_marginal_at_the_origin(self, plan32, marginal32):
+        # the whole total in the cell nearest w = 0: ln|w| is at its least
+        # there, and the margin reads -0.59 E
         f, marginal = marginal32
-        lit1, _ = log_up_check(f, plan32, marginal=marginal)
-        doubled = GridSignal2D(f.ax1, f.ax2, 2.0 * f.data)
-        marginal2 = field_w_energy_map(stqolct_forward(doubled, plan32))
-        lit2, _ = log_up_check(doubled, plan32, marginal=marginal2)
-        assert lit2.lhs == pytest.approx(4.0 * lit1.lhs, rel=1e-12)
-        assert lit2.rhs == pytest.approx(4.0 * lit1.rhs, rel=1e-12)
+        w_r = np.hypot(plan32.qolct.w1.coords[:, None], plan32.qolct.w2.coords[None, :])
+        values = np.zeros_like(marginal.values)
+        values[np.unravel_index(np.argmin(w_r), w_r.shape)] = (marginal.total
+                                                               / marginal.cell_area)
+        res = log_up_check(f, plan32, marginal=EnergyMap("frequency", values,
+                                                         marginal.cell_area))
+        assert not res.passed
+        assert res.margin < -0.5 * marginal.total
 
 
 def _off_grid_marginal(plan32, kind):
