@@ -145,17 +145,28 @@ def pointwise_mul(f: GridSignal2D, g: GridSignal2D) -> GridSignal2D:
 def _radius_sq(ax1, ax2):
     x1 = ax1.coords
     x2 = ax2.coords
-    return x1[:, None] ** 2 + x2[None, :] ** 2
+    # a coordinate past about 1e154 squares to inf, which is |x|^2's limit
+    with np.errstate(over="ignore"):
+        return x1[:, None] ** 2 + x2[None, :] ** 2
 
 
 def gaussian_signal(ax1, ax2, alpha, amplitude=None) -> GridSignal2D:
-    """amplitude * exp(-alpha*|x|^2); amplitude is a quaternion, default 1."""
+    """amplitude * exp(-alpha*|x|^2); amplitude is a quaternion, default 1.
+
+    Samples whose envelope underflows are 0; an envelope that is 0 at
+    every sample raises ParameterError.
+    """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ParameterError(f"gaussian width alpha must be positive and finite, got {alpha}")
     amplitude = quat(1.0) if amplitude is None else np.asarray(amplitude, dtype=float)
     if not np.isfinite(amplitude).all():
         raise ParameterError(f"gaussian amplitude must be finite, got {amplitude.tolist()}")
-    envelope = np.exp(-alpha * _radius_sq(ax1, ax2))
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-alpha * _radius_sq(ax1, ax2))
+    if not envelope.any():
+        extents = ", ".join(f"{ax.n * ax.step / 2.0:g}" for ax in (ax1, ax2))
+        raise ParameterError(f"gaussian exp(-alpha |x|^2) with alpha {alpha:g} on extents "
+                             f"({extents}) is 0 at every sample")
     data = amplitude * envelope[:, :, None]
     return GridSignal2D(ax1, ax2, data)
 

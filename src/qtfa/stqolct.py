@@ -32,10 +32,14 @@ window shapes, told apart once per plan by the plan's window analysis:
   real or a quaternion amplitude).  Since f * conj(q a b) = (f * conj(q)) a b,
   q folds into the signal and each channel takes one real term.  The x2
   DFT commutes with a(x1 - u1), so ``_factored_engine`` builds, once per
-  pass and channel, H(x1, w2, u2) = tail2 * DFT_x2[head1 head2
-  b(x2 - u2) f'] (2 * n1 * n2 * nu2 complex: 1 MB at n=32, 8 MB at
-  n=64, 67 MB at n=128, stride 1), and a row is one multiply by
-  a(x1 - u1), one FFT along axis 0, the tail1 multiply and the join.
+  pass, both channels of H(x1, w2, u2) = tail2 * DFT_x2[head1 head2
+  b(x2 - u2) f'] in one array (2 * n1 * n2 * nu2 complex: 1 MB at n=32,
+  8 MB at n=64, 67 MB at n=128, stride 1), and a row is one multiply by
+  a(x1 - u1), one FFT along x1, the tail1 multiply and the join.  This
+  engine alone also runs in w2 slabs: slab j multiplies H's w2 column j
+  by a(x1 - u1) at every u1 and yields a (nw1, nu1, nu2, 4) block, each
+  element through the same multiply, FFT lane, tail and join as in its
+  row, so both orders give the same field to the last bit.
   The factor test takes the sample of largest modulus as the pivot: q is
   phi there, and a and b are the real coordinates of phi along q on the
   pivot's column and row.  The window counts as factored when q * a * b
@@ -70,8 +74,11 @@ pool of ``_max_workers()`` threads (``QTF_THREADS``) that take the next
 row from a shared counter; any other thread is already a worker of some
 pool (verify's, or a caller's), so there they run inline and pools never
 nest.  ``stqolct_forward`` copies the rows into the dense
-(nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1).  The
-reducers (``_FieldSums`` for energy, sup modulus and the w-marginal,
+(nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1).  For a
+factored window its pass runs in w2 slabs instead (``_pass`` with
+``slabs``): a u1 row lands in the field as nw1 * nw2 runs of nu2
+coefficients (1 KB at n=32), a w2 slab as nw1 runs of nu1 * nu2 (32 KB).
+The reducers (``_FieldSums`` for energy, sup modulus and the w-marginal,
 ``_Reconstruction`` for the channel-native inverse) accumulate over
 translations without a dense field, fed by the engine (``_stream``);
 ``stqolct_reconstruct`` feeds ``_Reconstruction`` the rows of a dense
@@ -370,23 +377,29 @@ def _window_cover(plan, density):
 
 
 class _Buffers:
-    """One worker's scratch for a row pass, reused across the rows it takes.
+    """One worker's scratch for a pass, reused across the rows it takes.
 
-    ``block`` holds the current (nw1, nw2, nu2, 4) row.  The row engine
-    also uses the complex ``p``, ``m`` and ``tmp``; once the block is
-    written, the reducers may use ``p``, ``m`` and the real ``sq``.
+    ``block`` holds the current row: a (nw1, nw2, nu2, 4) u1 row, or a
+    (nw1, nu1, nu2, 4) w2 slab when ``slabs`` is set.  The engine also
+    uses the complex ``chans``, whose two halves are the channels ``p``
+    and ``m``, and ``tmp``; once the block is written, the reducers may
+    use ``p``, ``m`` and the real ``sq``.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape, slabs=False):
+        self.slabs = slabs
         self.block = np.empty(shape + (4,))
-        self.p, self.m, self.tmp = (np.empty(shape, dtype=complex) for _ in range(3))
+        self.chans = np.empty((2,) + shape, dtype=complex)
+        self.p, self.m = self.chans
+        self.tmp = np.empty(shape, dtype=complex)
         self.sq = np.empty(shape)
 
 
 def _engine(f: GridSignal2D, plan: StqolctPlan):
     """The row engine of f: ``row(i1, buffers)`` computes translation row i1.
 
-    A window that factors (``StqolctPlan._factors``) runs ``_factored_engine``.
+    A window that factors (``StqolctPlan._factors``) runs ``_factored_engine``,
+    whose ``row`` also computes w2 slabs in a slab pass (``_pass``).
     For any other, the phase planes, the channel products and the window
     translations are built here, once per pass, and ``row`` only reads
     them.  Only the window's nonzero terms (``StqolctPlan._terms``) are
@@ -424,48 +437,54 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
 
 
 def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a_rows, b_cols):
-    """The row engine of f for the window q * a(x1) * b(x2), one FFT axis per row.
+    """The engine of f for the window q * a(x1) * b(x2), one FFT axis per row.
 
     f * conj(q a b) = (f * conj(q)) a b for real a and b, so q folds into
     the signal and each channel takes one real window term.  The x2 DFT
-    commutes with a(x1 - u1), so per channel H(x1, w2, u2) = tail2 *
-    DFT_x2[head1 head2 b(x2 - u2) f'] is built once per pass, and row
-    i1 is tail1 * DFT_x1[a(x1 - u1) H]: one multiply, one FFT along
-    axis 0, the tail1 multiply and the join.
+    commutes with a(x1 - u1), so H(x1, w2, u2) = tail2 * DFT_x2[head1
+    head2 b(x2 - u2) f'] is built once per pass, both channels in one
+    (2, n1, nw2, nu2) array.  Both channels of u1 row i1 are then
+    tail1 * DFT_x1[a(x1 - u1) H]: one multiply, one FFT along x1, the
+    tail1 multiply and the join.  In a slab pass (``buffers.slabs``) step
+    j takes H's w2 slab j against every a(x1 - u1) instead, and each
+    element goes through the same multiply, FFT lane, tail and join as in
+    its row.
     """
     profiles = plan.qolct._forward_profiles
-    hs = []
-    for chan, ch in zip(_split_channels(qmul(f.data, qconj(q))), profiles):
-        h = (ch.head1[:, None] * ch.head2 * chan)[:, :, None] * b_cols
-        _dft(h, 1, ch.signs[1])
-        h *= ch.tail2[:, None]
-        hs.append(h)
+    h = np.empty((2,) + f.data.shape[:2] + b_cols.shape[1:], dtype=complex)
+    for hc, chan, ch in zip(h, _split_channels(qmul(f.data, qconj(q))), profiles):
+        np.multiply((ch.head1[:, None] * ch.head2 * chan)[:, :, None], b_cols, out=hc)
+        _dft(hc, 1, ch.signs[1])
+        hc *= ch.tail2[:, None]
     # head1, tail1 and the first axis's sign are the same in both channels
     tail1, sign1 = profiles[0].tail1[:, None, None], profiles[0].signs[0]
 
-    def row(i1, buffers):
-        column = a_rows[:, i1, None, None]
-        for chan, h in zip((buffers.p, buffers.m), hs):
-            np.multiply(h, column, out=chan)
-            _dft(chan, 0, sign1)
-            chan *= tail1
+    def row(k, buffers):
+        if buffers.slabs:
+            np.multiply(h[:, :, k, None, :], a_rows[:, :, None], out=buffers.chans)
+        else:
+            np.multiply(h, a_rows[:, k, None, None], out=buffers.chans)
+        _dft(buffers.chans, 1, sign1)
+        buffers.chans *= tail1
         _join_channels(buffers.p, buffers.m, out=buffers.block)
 
     return row
 
 
-def _pass(shape, row, *reducers):
-    """Feed every u1 row of a (nw1, nw2, nu1, nu2) field to the reducers.
+def _pass(shape, row, *reducers, slabs=False):
+    """Feed every row along axis 2 of a 4-axis field ``shape`` to the reducers.
 
-    ``row(i1, buffers)`` writes row i1 into ``buffers.block``; each
-    reducer is then called as ``reducer(i1, buffers)``.  On the main
-    thread one task per worker runs on a pool of ``_max_workers()``
-    threads; on any other thread, such as a task of verify's pool or of
-    a caller's, one task runs inline, so pools never nest.  Each task
-    holds one ``_Buffers``, allocated by the calling thread (a buffer
-    that a worker thread allocates and frees stays behind in that
-    thread's malloc arena), and takes the next row from a shared counter
-    until none is left.
+    The rows are the u1 rows of a (nw1, nw2, nu1, nu2) field, or with
+    ``slabs`` the w2 slabs of its (nw1, nu1, nw2, nu2) permutation, which
+    only the factored engine computes.  ``row(k, buffers)`` writes row k
+    into ``buffers.block``; each reducer is then called as
+    ``reducer(k, buffers)``.  On the main thread one task per worker runs
+    on a pool of ``_max_workers()`` threads; on any other thread, such as
+    a task of verify's pool or of a caller's, one task runs inline, so
+    pools never nest.  Each task holds one ``_Buffers``, allocated by the
+    calling thread (a buffer that a worker thread allocates and frees
+    stays behind in that thread's malloc arena), and takes the next row
+    from a shared counter until none is left.
     """
     rows, lock = iter(range(shape[2])), threading.Lock()
     workers = 1
@@ -475,14 +494,14 @@ def _pass(shape, row, *reducers):
     def run(buffers):
         while True:
             with lock:
-                i1 = next(rows, None)
-            if i1 is None:
+                k = next(rows, None)
+            if k is None:
                 return
-            row(i1, buffers)
+            row(k, buffers)
             for reducer in reducers:
-                reducer(i1, buffers)
+                reducer(k, buffers)
 
-    buffers = [_Buffers(shape[:2] + shape[3:]) for _ in range(workers)]
+    buffers = [_Buffers(shape[:2] + shape[3:], slabs) for _ in range(workers)]
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as executor:
         # consuming the results re-raises a worker's exception here
         list((map if executor is None else executor.map)(run, buffers))
@@ -574,10 +593,15 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
     qplan = plan.qolct
     out = _field_array(_field_shape(plan) + (4,))
     if route == "via_qolct":
-        def keep(i1, buffers):
-            out[:, :, i1] = buffers.block
+        # a factored window's pass runs in w2 slabs, on axis 2 of ``rows``:
+        # a slab lands in the field in runs nu1 times a u1 row's
+        slabs = plan._factors is not None
+        rows = np.moveaxis(out, 1, 2) if slabs else out
 
-        _stream(f, plan, keep)
+        def keep(k, buffers):
+            rows[:, :, k] = buffers.block
+
+        _pass(rows.shape[:4], _engine(f, plan), keep, slabs=slabs)
     else:
         # the oracles: one modified signal and one transform per translation
         qft_plan = QftPlan.for_axes(plan.ax1, plan.ax2)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,32 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--extent", "1e300"), "alpha 1 on extents (1e+300, 1e+300) is 0 at every sample"),
+        (("--alpha", "1e300"), "alpha 1e+300 on extents (8, 8) is 0 at every sample"),
+    ])
+    def test_an_all_zero_gaussian_exits_2_naming_alpha_and_the_extent(self, tmp_path, capsys,
+                                                                      flags, named):
+        # both wrote an all-zero signal with exit 0, the first after a
+        # RuntimeWarning from the squared coordinates
+        out = tmp_path / "x.qs2d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen", "--kind", "gaussian", *flags, "--n", 8, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    def test_a_gaussian_with_underflowed_tails_is_written(self, tmp_path):
+        # exp(-1000 |x|^2) is 0 off the four central samples of a 16-point grid
+        out = tmp_path / "x.qs2d"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen", "--kind", "gaussian", "--alpha", 1000, "--n", 16, "--extent", 8,
+                       "-o", out) == 0
+        envelope = load_signal(out).data[..., 0]
+        assert np.count_nonzero(envelope) == 4 and envelope[8, 8] > 0
 
     @pytest.mark.parametrize("flags, named", [
         (("--n", 0), "got 0"),                  # divided by before any check: exit 1

@@ -172,26 +172,41 @@ def _inverse_without_b_weight(monkeypatch):
 
 
 def _forward_skips_a_row_onto_a_stale_spare(monkeypatch):
-    # stqolct_forward leaves its u1 = 0 row unwritten, and every discarded
-    # field is kept as a spare (the 16-point Moyal and corollary fields
-    # are far below 32 MiB), so a reused array holds that row from an
-    # earlier field, at times the same field of another Moyal record's
-    # call: a stale spare must not pass for the missing row
-    stream = stqolct._stream
+    # stqolct_forward leaves its middle w2 slab unwritten, and every
+    # discarded field is kept as a spare (the 16-point Moyal and corollary
+    # fields are far below 32 MiB), so a reused array holds that slab from
+    # an earlier field, at times the same field of another Moyal record's
+    # call: a stale spare must not pass for the missing slab.  Every
+    # window of the corpus's dense fields factors, so each of them is
+    # built by a slab pass, and only stqolct_forward runs one.
+    pass_ = stqolct._pass
 
-    def mutant(f, plan, *reducers):
+    def mutant(shape, row, *reducers, slabs=False):
         def skipping(reducer):
-            def reduce(i1, buffers):
-                if i1 != plan.u1.n // 2:
-                    reducer(i1, buffers)
+            def reduce(k, buffers):
+                if not slabs or k != shape[2] // 2:
+                    reducer(k, buffers)
             return reduce
 
-        stream(f, plan, *map(skipping, reducers))
+        pass_(shape, row, *map(skipping, reducers), slabs=slabs)
 
-    # only stqolct_forward reaches _stream through the module; verify's
-    # streamed passes hold their own reference
-    monkeypatch.setattr(stqolct, "_stream", mutant)
+    monkeypatch.setattr(stqolct, "_pass", mutant)
     monkeypatch.setattr(stqolct, "_SPARE_BYTES", 0)
+
+
+def _slab_pass_drops_the_last_slab(monkeypatch):
+    # the slab pass writes its last w2 slab as zero
+    pass_ = stqolct._pass
+
+    def mutant(shape, row, *reducers, slabs=False):
+        def dropping(k, buffers):
+            row(k, buffers)
+            if slabs and k == shape[2] - 1:
+                buffers.block.fill(0.0)
+
+        pass_(shape, dropping, *reducers, slabs=slabs)
+
+    monkeypatch.setattr(stqolct, "_pass", mutant)
 
 
 def _transposed_moyal_gram(monkeypatch):
@@ -242,6 +257,7 @@ MUTANTS = {
     "inverse-without-b-weight": _inverse_without_b_weight,
     "transposed-moyal-gram": _transposed_moyal_gram,
     "forward-skips-a-row-onto-a-stale-spare": _forward_skips_a_row_onto_a_stale_spare,
+    "slab-pass-drops-the-last-slab": _slab_pass_drops_the_last_slab,
     **{name: _pitt_formula(formula) for name, formula in PITT_MUTANTS.items()},
 }
 

@@ -671,6 +671,15 @@ def test_streamed_reducers_match_dense_reductions(params):
 
 # -- row passes ------------------------------------------------------------
 
+def named_window(ax1, ax2, name):
+    """The windows of the pass tests: three that factor and one that does not."""
+    return {"real-gaussian": lambda: gaussian_signal(ax1, ax2, 2.0),
+            "quaternion-gaussian": lambda: gaussian_signal(ax1, ax2, 1.5,
+                                                           amplitude=quat(0.8, 0.3, 0.0, 0.1)),
+            "rank-one": lambda: factored_window(ax1, ax2, seed=416),
+            "random": lambda: random_signal(ax1, ax2, seed=416)}[name]()
+
+
 def _pass_outputs(f, plan):
     """Every row-pass result for one signal and plan, as a dict of arrays."""
     field = stqolct_forward(f, plan)
@@ -697,12 +706,8 @@ def test_each_engine_is_bit_identical_at_1_2_and_3_threads(monkeypatch, window, 
     # stride 1 also runs both reconstructions; stride 4 leaves 4 rows for
     # up to 3 workers
     ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
-    phi = {"real-gaussian": lambda: gaussian_signal(ax1, ax2, 2.0),
-           "quaternion-gaussian": lambda: gaussian_signal(ax1, ax2, 1.5,
-                                                          amplitude=quat(0.8, 0.3, 0.0, 0.1)),
-           "rank-one": lambda: factored_window(ax1, ax2, seed=416),
-           "random": lambda: random_signal(ax1, ax2, seed=416)}[window]()
-    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, phi, stride=stride)
+    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, named_window(ax1, ax2, window),
+                              stride=stride)
     assert (plan._factors is None) == (window == "random")
     f = random_signal(plan.ax1, plan.ax2, seed=417)
     runs = []
@@ -713,6 +718,28 @@ def test_each_engine_is_bit_identical_at_1_2_and_3_threads(monkeypatch, window, 
         assert run.keys() == runs[0].keys()
         for key, value in run.items():
             assert np.array_equal(value, runs[0][key]), key
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("window", ["real-gaussian", "quaternion-gaussian", "rank-one"])
+def test_a_slab_built_field_equals_the_streamed_rows(monkeypatch, window, stride, threads):
+    # stqolct_forward builds a factored window's field one w2 slab at a
+    # time; the streamed reducers take it one u1 row at a time, and both
+    # orders must give every coefficient to the last bit
+    monkeypatch.setenv("QTF_THREADS", threads)
+    ax1, ax2 = Axis.centered(24, 6.0), Axis.centered(20, 5.0)
+    plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, named_window(ax1, ax2, window),
+                              stride=stride)
+    assert plan._factors is not None
+    f = random_signal(ax1, ax2, seed=419)
+    rows = np.full(stqolct._field_shape(plan) + (4,), np.nan)
+
+    def keep(i1, buffers):
+        rows[:, :, i1] = buffers.block
+
+    _stream(f, plan, keep)
+    assert np.array_equal(stqolct_forward(f, plan).data, rows)
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
