@@ -39,25 +39,44 @@ _QTF4_HEADER = struct.Struct("<4s5I8d12d")
 _CSV_HEADER = "x1,x2,q0,q1,q2,q3"
 #: f64 values per payload read: 256 KB, small enough to check in cache
 _PAYLOAD_CHUNK = 1 << 15
+#: the file extensions of each kind of file
+_SUFFIXES = {"signal": (".qs2d", ".csv"), "field": (".qtf4",)}
+
+
+def _suffix(path, kind):
+    """The extension of ``path``; a ParameterError unless a ``kind`` file takes it."""
+    suffix = Path(path).suffix
+    if suffix not in _SUFFIXES[kind]:
+        raise ParameterError(f"unknown {kind} extension {suffix!r} "
+                             f"(use {' or '.join(_SUFFIXES[kind])})")
+    return suffix
+
+
+def _check_output(path, kind=None):
+    """A ParameterError unless a file, of ``kind`` when given, can be written
+    at ``path``; the CLI checks each output path before it does any work."""
+    path = Path(path)
+    if kind is not None:
+        _suffix(path, kind)
+    if not path.parent.is_dir():
+        raise ParameterError(f"cannot write {path}: no directory {path.parent}")
+    if path.is_dir():
+        raise ParameterError(f"cannot write {path}: it is a directory")
 
 
 def save_signal(f: GridSignal2D, path):
     path = Path(path)
-    if path.suffix == ".qs2d":
+    if _suffix(path, "signal") == ".qs2d":
         _save_qs2d(f, path)
-    elif path.suffix == ".csv":
-        _save_csv(f, path)
     else:
-        raise ParameterError(f"unknown signal extension {path.suffix!r} (use .qs2d or .csv)")
+        _save_csv(f, path)
 
 
 def load_signal(path) -> GridSignal2D:
     path = Path(path)
-    if path.suffix == ".qs2d":
+    if _suffix(path, "signal") == ".qs2d":
         return _load_qs2d(path)
-    if path.suffix == ".csv":
-        return _load_csv(path)
-    raise ParameterError(f"unknown signal extension {path.suffix!r} (use .qs2d or .csv)")
+    return _load_csv(path)
 
 
 def _save_qs2d(f, path):
@@ -255,9 +274,7 @@ def _exact_step(coords, mean):
 
 def save_field(field, path):
     """Write an StqolctField as .qtf4."""
-    path = Path(path)
-    if path.suffix != ".qtf4":
-        raise ParameterError(f"unknown field extension {path.suffix!r} (use .qtf4)")
+    _suffix(path, "field")
     axes = (field.w1, field.w2, field.u1, field.u2)
     axis_vals = [v for ax in axes for v in (ax.min, ax.step)]
     p1, p2 = field.params1, field.params2

@@ -7,8 +7,8 @@ its nodes sit on integer multiples of the grid step, so every window
 translation is an exact sample shift (no interpolation).  On an axis of
 n samples, translation i shifts by m_i = (i - n // 2 // stride) * stride
 samples (``StqolctPlan.shift_counts``), so node n // 2 // stride is
-u = 0 (``StqolctPlan.origin``).  The fast paths and the window cover
-read every translated array from one helper, ``_translations``.
+u = 0.  The fast paths and the window cover read every translated array
+from one helper, ``_translations``.
 
 Three computation routes produce identical values (within roundoff):
 
@@ -248,11 +248,6 @@ class StqolctPlan:
     def translation(self, i1, i2):
         """The translation u at grid index (i1, i2)."""
         return self.u1.coords[i1], self.u2.coords[i2]
-
-    @property
-    def origin(self):
-        """The translation-grid index (i1, i2) of u = 0."""
-        return tuple(-m // self.stride for m in self.shift_counts(0, 0))
 
     @cached_property
     def _factors(self):

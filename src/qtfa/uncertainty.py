@@ -340,25 +340,24 @@ class HardyFit:
     count: int
 
 
-def hardy_decay_fit(magnitude, w1_coords, w2_coords, radius,
-                    offset=(0.0, 0.0), scale=(1.0, 1.0)) -> HardyFit:
-    """Least-squares decay-rate fit on the rescaled argument (w - offset)/scale.
+def hardy_decay_fit(magnitude, w1_coords, w2_coords, radius) -> HardyFit:
+    """Least-squares decay-rate fit of a magnitude on the frequency grid.
 
-    Fits ln(magnitude) against |w'|^2 over the disk |w'| <= radius.  A low
+    Fits ln(magnitude) against |w|^2 over the disk |w| <= radius.  A low
     r2 means the magnitude is not Gaussian-shaped there and beta carries
     no meaning; callers should treat such fits as "no Gaussian decay"
     rather than asserting on beta.
     """
     magnitude = np.asarray(magnitude, dtype=float)
-    w1p = (np.asarray(w1_coords, dtype=float) - offset[0]) / scale[0]
-    w2p = (np.asarray(w2_coords, dtype=float) - offset[1]) / scale[1]
-    rsq = w1p[:, None] ** 2 + w2p[None, :] ** 2
+    w1 = np.asarray(w1_coords, dtype=float)
+    w2 = np.asarray(w2_coords, dtype=float)
+    rsq = w1[:, None] ** 2 + w2[None, :] ** 2
     if magnitude.shape != rsq.shape:
         raise ShapeError(f"magnitude shape {magnitude.shape} does not match the "
                          f"frequency grid {rsq.shape}")
     mask = rsq <= radius * radius
     if mask.sum() < 3:
-        raise ParameterError(f"fit region |w'| <= {radius} holds fewer than 3 samples")
+        raise ParameterError(f"fit region |w| <= {radius} holds fewer than 3 samples")
     m = magnitude[mask]
     if np.any(m <= 0.0):
         raise ParameterError("fit region contains nonpositive magnitudes")
@@ -400,8 +399,8 @@ def beurling_integral(f: GridSignal2D, plan: StqolctPlan, d: float) -> BeurlingI
     accumulated in log space; if any term (or the total) exceeds the
     double range the result saturates to inf and the flag is set, rather
     than raising.  Finiteness of this integral characterizes signals
-    non-constructively, so the value is recorded as a statistic, not
-    gated as a pass/fail check.
+    non-constructively, so the value is a statistic, not a pass/fail
+    check, and no verify record reads it.
     """
     if not 0.0 <= d < math.inf:
         raise ParameterError(f"d must be finite and nonnegative, got {d}")

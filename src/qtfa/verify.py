@@ -6,25 +6,24 @@ line in report files).  A RunConfig sets only the grid size ``n``, the
 ``seed`` of the random signals and the ``param_sets`` under
 certification; the rest of the corpus is the module constants below.
 All margins are oriented so that nonnegative (within the recorded
-tolerance) means pass.  A handful of records are diagnostics that never
-gate the exit status; everything else must pass.
+tolerance) means pass, and every record gates the exit status.
 
 One table, ``_CHECKS``, gives each pool task its check and the record
 names it emits.  Tasks are independent and run on a small thread pool
 (capped by the QTF_THREADS environment variable); the row passes inside a
-task run their rows inline.  Each parameter set is eight tasks, queued in
+task run their rows inline.  Each parameter set is seven tasks, queued in
 report order: its ``params`` records (the QOLCT and the windowed
 transform's routes against their oracles), ``reconstruction-exact``, the
 ``field`` records (one streamed pass with its sums and its reconstruction
-together), the exact-support corollary (its own dense field), one task
-per Moyal record (one ``moyal_check`` call each) and ``beurling-value``.
-So each costly input of a set is a task of its own, and a selection
-(``only``) picks tasks alone: a task runs when it emits a selected name,
-computes all its records, and one name filter at the end keeps the
-selected ones.  Each check is deterministic for a fixed config, so
-results do not depend on the degree of parallelism.  Before any task
-runs, the dense fields that the pool's workers may hold at once are
-checked against the memory budget (``_check_dense_fields``).
+together), the exact-support corollary (its own dense field) and one task
+per Moyal record (one ``moyal_check`` call each).  So each costly input
+of a set is a task of its own, and a selection (``only``) picks tasks
+alone: a task runs when it emits a selected name, computes all its
+records, and one name filter at the end keeps the selected ones.  Each
+check is deterministic for a fixed config, so results do not depend on
+the degree of parallelism.  Before any task runs, the dense fields that
+the pool's workers may hold at once are checked against the memory
+budget (``_check_dense_fields``).
 """
 
 from __future__ import annotations
@@ -44,16 +43,13 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .stqolct import (StqolctPlan, _FieldSums, _max_workers, _Reconstruction, _stream,
-                      _window_cover, modified_signal, moyal_check, stqolct_forward)
-from .uncertainty import (InequalityResult, _marginal_map, beurling_integral,
-                          donoho_stark_check, hardy_decay_fit, log_up_check,
-                          log_up_constant, pitt_check, pitt_constant)
+                      _window_cover, moyal_check, stqolct_forward)
+from .uncertainty import (InequalityResult, _marginal_map, donoho_stark_check,
+                          hardy_decay_fit, log_up_check, log_up_constant, pitt_check,
+                          pitt_constant)
 
 __all__ = ["RunConfig", "default_config_dict", "run_verification", "write_report",
-           "load_report", "format_report_table", "UNGATED_CHECKS", "gated_failures"]
-
-#: record names that are informational only and never gate the exit status
-UNGATED_CHECKS = frozenset({"hardy-field", "beurling-value"})
+           "load_report", "format_report_table", "gated_failures"]
 
 #: the amplitude of the quaternion windows: psi, and one window of stqolct-routes
 _PSI_AMPLITUDE = quat(0.8, 0.3, 0.0, 0.1)
@@ -271,21 +267,6 @@ def _check_hardy(config):
     return results
 
 
-def _check_beurling(config, pset):
-    name, a1, a2 = pset
-    ax1 = Axis.centered(16, 4.0)
-    ax2 = Axis.centered(16, 4.0)
-    window = gaussian_signal(ax1, ax2, _WINDOW_ALPHA)
-    plan = StqolctPlan.create(a1, a2, ax1, ax2, window, stride=1)
-    f = gaussian_signal(ax1, ax2, 1.0)
-    res = beurling_integral(f, plan, 2.0)
-    return [InequalityResult(
-        name="beurling-value",
-        params={"set": name, "d": 2.0, "saturated": res.saturated},
-        lhs=res.value, rhs=0.0, margin=res.value, tolerance=0.0,
-        passed=bool(np.isfinite(res.value)))]
-
-
 def _check_params(config, pset):
     name, a1, a2 = pset
     results = []
@@ -339,10 +320,9 @@ def _check_field(config, pset):
     _stream(f, plan, sums, rec)
     marginal = _marginal_map(sums)
     bound = l2_norm(f) * l2_norm(plan.window) / (2 * math.pi * math.sqrt(abs(a1.b * a2.b)))
-    win_sq, f_sq = l2_norm(plan.window) ** 2, l2_norm(f) ** 2
     results = [_below("boundedness", {"set": name}, sums.sup, bound, 1e-9),
-               _close("energy", {"set": name}, sums.energy, win_sq * f_sq, 1e-3),
-               _close("isometry", {"set": name}, sums.energy / win_sq, f_sq, 1e-3),
+               _close("energy", {"set": name}, sums.energy,
+                      l2_norm(plan.window) ** 2 * l2_norm(f) ** 2, 1e-3),
                _below("reconstruction", {"set": name}, _rel_l2(rec.result(), f), 0.0, 1e-3)]
     results += [donoho_stark_check(f, plan, eps, eps, marginal=marginal) for eps in _EPS]
     for alpha in _PITT_ALPHAS:
@@ -351,25 +331,6 @@ def _check_field(config, pset):
         if alpha == 0.0:
             results.append(_close("pitt-equality", {"set": name}, res.lhs, res.rhs, 1e-3))
     results.append(log_up_check(f, plan, marginal=marginal))
-    # decay fits on the coefficient magnitude at u = 0 and at the
-    # energy-maximizing translation (the first in row-major order), each
-    # slice one fast QOLCT of its modified signal; informational only
-    p1, p2 = plan.qolct.params1, plan.qolct.params2
-    best = np.unravel_index(int(np.argmax(sums.u_energy)), sums.u_energy.shape)
-    for label, index in (("u=0", plan.origin), ("u=max-overlap", best)):
-        g = modified_signal(f, plan.window, plan.translation(*index))
-        mag = qnorm(qolct_forward(g, plan.qolct).data)
-        try:
-            fit = hardy_decay_fit(mag, plan.qolct.w1.coords, plan.qolct.w2.coords,
-                                  _HARDY_RADIUS, offset=(p1.p, p2.p), scale=(p1.b, p2.b))
-            results.append(InequalityResult(
-                name="hardy-field",
-                params={"set": name, "u": label, "beta": fit.beta, "r2": fit.r2},
-                lhs=fit.r2, rhs=0.0, margin=fit.r2, tolerance=0.0, passed=True))
-        except ParameterError as exc:
-            results.append(InequalityResult(
-                name="hardy-field", params={"set": name, "u": label, "note": str(exc)},
-                lhs=0.0, rhs=0.0, margin=0.0, tolerance=0.0, passed=True))
     for res in results:  # the uncertainty checks' records take the set's name last
         res.params["set"] = name
     return results
@@ -483,11 +444,10 @@ _CHECKS = {
         "qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes")),
     "reconstruction-exact": (_check_reconstruction_exact, True, ("reconstruction-exact",)),
     "field": (_check_field, True, (
-        "boundedness", "energy", "isometry", "reconstruction", "donoho-stark", "pitt",
-        "pitt-equality", "log-up", "hardy-field")),
+        "boundedness", "energy", "reconstruction", "donoho-stark", "pitt",
+        "pitt-equality", "log-up")),
     "donoho-stark-support": (_check_support, True, ("donoho-stark-support",)),
     **{label: (partial(_check_moyal, label=label), True, (label,)) for label in _MOYAL_LABELS},
-    "beurling": (_check_beurling, True, ("beurling-value",)),
 }
 
 _KNOWN_CHECKS = frozenset(name for _, _, names in _CHECKS.values() for name in names)
@@ -543,7 +503,7 @@ def _check_dense_fields(config, checks, workers):
 
 
 def gated_failures(results):
-    return [r for r in results if not r.passed and r.name not in UNGATED_CHECKS]
+    return [r for r in results if not r.passed]
 
 
 def write_report(results, path):

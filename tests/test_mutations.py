@@ -9,6 +9,12 @@ Not on the list: a ``_FieldSums`` that zeroes its last row (marginal
 slot, ``u_energy`` row and peak) still gives no gated failure, as the
 corpus Gaussian has no energy there; it waits for a grid-exact oracle of
 the streamed sums.
+
+Audited gated records that no mutant below catches: ``pitt-constant-zero``
+(each Pitt formula mutant keeps C(0) = 4 pi^2), ``donoho-stark``,
+``log-up`` and ``donoho-stark-support``.  ROADMAP item 1 lists the
+audit's blind spots, and item 13 the marginal mutants that the three
+marginal principles cannot see today.
 """
 
 import math

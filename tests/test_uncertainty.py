@@ -345,17 +345,6 @@ class TestHardyFit:
         fit = hardy_decay_fit(qft_modulus(F), plan.w1.coords, plan.w2.coords, 3.0)
         assert fit.r2 < 0.9
 
-    def test_rescaled_argument(self, field32, plan32):
-        # coefficient magnitudes fit on (w - p)/b recover the combined width
-        from qtfa import qnorm
-        f, field = field32
-        i0 = plan32.ax1.n // 2
-        mag = qnorm(field.data[:, :, i0, i0, :])
-        fit = hardy_decay_fit(mag, field.w1.coords, field.w2.coords, 3.0,
-                              offset=(UNIT_B.p, UNIT_B.p),
-                              scale=(UNIT_B.b, UNIT_B.b))
-        assert fit.r2 > 0.99
-
     def test_rejects_nonpositive_magnitudes(self, small_axes):
         ax1, ax2 = small_axes
         mag = np.zeros((16, 16))
