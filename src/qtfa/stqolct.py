@@ -24,8 +24,10 @@ the oracles the row engine is tested against, and they build each
 modified signal with ``grid.translate_window``, a shift of their own.
 
 The row engine works in Cayley channel form throughout and computes the
-field one u1 row at a time as a (nw1, nw2, nu2, 4) block.  It has two
-window shapes, told apart once per plan by the plan's window analysis:
+field one u1 row at a time as its two complex channels p and m, each
+(nw1, nw2, nu2), with the join's 1/2 folded into the tails: the row is
+their join (``qft._join_channels``).  It has two window shapes, told
+apart once per plan by the plan's window analysis:
 
 * A factored window phi = q * a(x1) * b(x2), q a constant quaternion and
   a, b real (``StqolctPlan._factors``; every Gaussian window, with a
@@ -35,11 +37,11 @@ window shapes, told apart once per plan by the plan's window analysis:
   pass, both channels of H(x1, w2, u2) = tail2 * DFT_x2[head1 head2
   b(x2 - u2) f'] in one array (2 * n1 * n2 * nu2 complex: 1 MB at n=32,
   8 MB at n=64, 67 MB at n=128, stride 1), and a row is one multiply by
-  a(x1 - u1), one FFT along x1, the tail1 multiply and the join.  This
-  engine alone also runs in w2 slabs: slab j multiplies H's w2 column j
-  by a(x1 - u1) at every u1 and yields a (nw1, nu1, nu2, 4) block, each
-  element through the same multiply, FFT lane, tail and join as in its
-  row, so both orders give the same field to the last bit.
+  a(x1 - u1), one FFT along x1 and the tail1 multiply.  This engine
+  alone also runs in w2 slabs: slab j multiplies H's w2 column j by
+  a(x1 - u1) at every u1 and yields (nw1, nu1, nu2) channels, each
+  element through the same multiply, FFT lane and tail as in its row,
+  so both orders give the same field to the last bit.
   The factor test takes the sample of largest modulus as the pivot: q is
   phi there, and a and b are the real coordinates of phi along q on the
   pivot's column and row.  The window counts as factored when q * a * b
@@ -55,7 +57,7 @@ window shapes, told apart once per plan by the plan's window analysis:
   quaternion window four.  The planes of every translation are one
   view (``_translations``).  Per row, each channel then takes the QOLCT
   plan's profiles as phase planes built once per pass
-  (``_phase_planes``), ``_dft2`` over both axes, and the channel join.
+  (``_phase_planes``), ``_dft2`` over both axes and the tail multiply.
 
 Both run the split-channel engine of ``qft`` on the QOLCT plan's cached
 profiles.  The reconstruction (``_Reconstruction``) splits the same way:
@@ -64,33 +66,38 @@ per pass, any other window both axes per row.  The oracles run the same
 code for both shapes.
 
 Everything downstream consumes rows through one reducer protocol
-(``_pass``): a reducer is a callable ``reducer(i1, buffers)`` that writes
-row i1 (in ``buffers.block``) into a slot of its own for that row and
-nothing else; a result that sums over rows adds the slots in row order
-when it is read.  No sum is split by worker, so every result is the same
-to the last bit whatever the number of workers.  ``_pass`` alone decides
-where the rows run, from the calling thread: on the main thread, on a
-pool of ``_max_workers()`` threads (``QTF_THREADS``) that take the next
-row from a shared counter; any other thread is already a worker of some
-pool (verify's, or a caller's), so there they run inline and pools never
-nest.  ``stqolct_forward`` copies the rows into the dense
-(nw1, nw2, nu1, nu2, 4) field (about 540 MB at n=64, stride 1).  For a
-factored window its pass runs in w2 slabs instead (``_pass`` with
-``slabs``): a u1 row lands in the field as nw1 * nw2 runs of nu2
-coefficients (1 KB at n=32), a w2 slab as nw1 runs of nu1 * nu2 (32 KB).
-The reducers (``_FieldSums`` for energy, sup modulus and the w-marginal,
-``_Reconstruction`` for the channel-native inverse) accumulate over
-translations without a dense field, fed by the engine (``_stream``);
-``stqolct_reconstruct`` feeds ``_Reconstruction`` the rows of a dense
-field (``_replay``).  A dense field's energy and w-marginal need no
-pass: each (w1, w2) node's coefficients are one contiguous run,
-reduced in place (``_dense_marginal``).  ``moyal_check`` builds its two
-fields with ``stqolct_forward`` and sums their Gram products in chunks
-of ``_GRAM_ROWS`` rows, in row order, and takes its grid-exact right
-side from the window cover (``_window_cover``).  Identity checks
-(energy, Moyal, reconstruction) integrate over all translations and
-therefore require stride 1; ``_check_stride1`` is that rule's one home,
-for ``stqolct_reconstruct`` and the uncertainty checks alike.
+(``_pass``): a reducer is a callable ``reducer(i1, buffers)`` that reads
+row i1 from ``buffers.p`` and ``buffers.m`` and writes it into a slot of
+its own for that row and nothing else; a result that sums over rows adds
+the slots in row order when it is read.  The channels are the one row
+format of a pass, and only the dense field's boundary converts: the
+dense path's keep reducer joins them into ``buffers.block`` and copies
+that, and a replay of a dense field splits half of each row (the split
+of a join is twice its channels).  No sum is split by worker, so every
+result is the same to the last bit whatever the number of workers.
+``_pass`` alone decides where the rows run, from the calling thread: on
+the main thread, on a pool of ``_max_workers()`` threads
+(``QTF_THREADS``) that take the next row from a shared counter; any
+other thread is already a worker of some pool (verify's, or a caller's),
+so there they run inline and pools never nest.  ``stqolct_forward``
+joins the rows into the dense (nw1, nw2, nu1, nu2, 4) field (about 540
+MB at n=64, stride 1).  For a factored window its pass runs in w2 slabs
+instead (``_pass`` with ``slabs``): a u1 row lands in the field as nw1 *
+nw2 runs of nu2 coefficients (1 KB at n=32), a w2 slab as nw1 runs of
+nu1 * nu2 (32 KB).  The reducers (``_FieldSums`` for energy, sup modulus
+and the w-marginal, ``_Reconstruction`` for the channel-native inverse)
+accumulate over translations without a dense field, fed by the engine
+(``_stream``); ``stqolct_reconstruct`` feeds ``_Reconstruction`` the
+rows of a dense field (``_replay``).  A dense field's energy and
+w-marginal need no pass: each (w1, w2) node's coefficients are one
+contiguous run, reduced in place (``_dense_marginal``).  ``moyal_check``
+builds its two fields with ``stqolct_forward`` and sums their Gram
+products in chunks of ``_GRAM_ROWS`` rows, in row order, and takes its
+grid-exact right side from the window cover (``_window_cover``).
+Identity checks (energy, Moyal, reconstruction) integrate over all
+translations and therefore require stride 1; ``_check_stride1`` is that
+rule's one home, for ``stqolct_reconstruct`` and the uncertainty checks
+alike.
 
 Spare field arrays.  ``stqolct_forward`` takes its output array from
 ``_field_array``.  Two callers build dense fields only to reduce them
@@ -374,11 +381,13 @@ def _window_cover(plan, density):
 class _Buffers:
     """One worker's scratch for a pass, reused across the rows it takes.
 
-    ``block`` holds the current row: a (nw1, nw2, nu2, 4) u1 row, or a
-    (nw1, nu1, nu2, 4) w2 slab when ``slabs`` is set.  The engine also
-    uses the complex ``chans``, whose two halves are the channels ``p``
-    and ``m``, and ``tmp``; once the block is written, the reducers may
-    use ``p``, ``m`` and the real ``sq``.
+    The complex ``chans``, whose two halves are the channels ``p`` and
+    ``m``, hold the current row: a (nw1, nw2, nu2) u1 row, or a
+    (nw1, nu1, nu2) w2 slab when ``slabs`` is set.  The engine also uses
+    ``tmp``; the reducers may use the real ``sq``.  ``block`` is the
+    dense boundary's quaternion form of the row, (..., 4): the keep
+    reducer of ``stqolct_forward`` joins the channels into it, and
+    ``_replay`` reads a dense row through it.
     """
 
     def __init__(self, shape, slabs=False):
@@ -415,7 +424,7 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
         groups[out].append((k, planes[out][0][:, :, None] * f_chans[inp]))
     windows = _translations(plan, np.stack([plane for _, _, plane in terms]), (0, 1))
 
-    # Channels are laid out (w1, w2, u2) like the block, with the
+    # Channels are laid out (w1, w2, u2) like the field's row, with the
     # translations of a row as the fastest axis.
     def row(i1, buffers):
         w = windows[..., i1, :]
@@ -426,7 +435,6 @@ def _engine(f: GridSignal2D, plan: StqolctPlan):
                 chan += np.multiply(w[k], src, out=buffers.tmp)
             _dft2(chan, signs)
             chan *= tail[:, :, None]
-        _join_channels(buffers.p, buffers.m, out=buffers.block)
 
     return row
 
@@ -439,11 +447,10 @@ def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a_rows, b_cols):
     commutes with a(x1 - u1), so H(x1, w2, u2) = tail2 * DFT_x2[head1
     head2 b(x2 - u2) f'] is built once per pass, both channels in one
     (2, n1, nw2, nu2) array.  Both channels of u1 row i1 are then
-    tail1 * DFT_x1[a(x1 - u1) H]: one multiply, one FFT along x1, the
-    tail1 multiply and the join.  In a slab pass (``buffers.slabs``) step
-    j takes H's w2 slab j against every a(x1 - u1) instead, and each
-    element goes through the same multiply, FFT lane, tail and join as in
-    its row.
+    tail1 * DFT_x1[a(x1 - u1) H]: one multiply, one FFT along x1 and the
+    tail1 multiply.  In a slab pass (``buffers.slabs``) step j takes H's
+    w2 slab j against every a(x1 - u1) instead, and each element goes
+    through the same multiply, FFT lane and tail as in its row.
     """
     profiles = plan.qolct._forward_profiles
     h = np.empty((2,) + f.data.shape[:2] + b_cols.shape[1:], dtype=complex)
@@ -461,7 +468,6 @@ def _factored_engine(f: GridSignal2D, plan: StqolctPlan, q, a_rows, b_cols):
             np.multiply(h, a_rows[:, k, None, None], out=buffers.chans)
         _dft(buffers.chans, 1, sign1)
         buffers.chans *= tail1
-        _join_channels(buffers.p, buffers.m, out=buffers.block)
 
     return row
 
@@ -472,14 +478,15 @@ def _pass(shape, row, *reducers, slabs=False):
     The rows are the u1 rows of a (nw1, nw2, nu1, nu2) field, or with
     ``slabs`` the w2 slabs of its (nw1, nu1, nw2, nu2) permutation, which
     only the factored engine computes.  ``row(k, buffers)`` writes row k
-    into ``buffers.block``; each reducer is then called as
-    ``reducer(k, buffers)``.  On the main thread one task per worker runs
-    on a pool of ``_max_workers()`` threads; on any other thread, such as
-    a task of verify's pool or of a caller's, one task runs inline, so
-    pools never nest.  Each task holds one ``_Buffers``, allocated by the
-    calling thread (a buffer that a worker thread allocates and frees
-    stays behind in that thread's malloc arena), and takes the next row
-    from a shared counter until none is left.
+    into the channels ``buffers.p`` and ``buffers.m``; each reducer is then
+    called as ``reducer(k, buffers)``, in order, and reads them.  A reducer
+    that overwrites the channels (``_Reconstruction``) comes last.  On the
+    main thread one task per worker runs on a pool of ``_max_workers()``
+    threads; on any other thread, such as a task of verify's pool or of a
+    caller's, one task runs inline, so pools never nest.  Each task holds
+    one ``_Buffers``, allocated by the calling thread (a buffer that a
+    worker thread allocates and frees stays behind in that thread's malloc
+    arena), and takes the next row from a shared counter until none is left.
     """
     rows, lock = iter(range(shape[2])), threading.Lock()
     workers = 1
@@ -544,9 +551,13 @@ def _stream(f: GridSignal2D, plan: StqolctPlan, *reducers):
 
 def _replay(field: StqolctField, *reducers):
     """One pass over the rows of a dense field."""
-    # One strided copy per row beats strided reads in every reducer.
+    # One strided read per row, halved into the block (a join carries the
+    # channels' 1/2, so the split of S/2 is the engine's channels), then
+    # the split in place.
     _pass(field.data.shape[:4],
-          lambda i1, buffers: np.copyto(buffers.block, field.data[:, :, i1]), *reducers)
+          lambda i1, buffers: _split_channels(
+              np.multiply(field.data[:, :, i1], 0.5, out=buffers.block),
+              out=(buffers.p, buffers.m)), *reducers)
 
 
 def _via_qft_single(g: GridSignal2D, qplan: QolctPlan, qft_plan: QftPlan):
@@ -594,7 +605,7 @@ def stqolct_forward(f: GridSignal2D, plan: StqolctPlan, route="via_qolct") -> St
         rows = np.moveaxis(out, 1, 2) if slabs else out
 
         def keep(k, buffers):
-            rows[:, :, k] = buffers.block
+            rows[:, :, k] = _join_channels(buffers.p, buffers.m, out=buffers.block)
 
         _pass(rows.shape[:4], _engine(f, plan), keep, slabs=slabs)
     else:
@@ -617,11 +628,13 @@ class _FieldSums:
     ``energy`` is the quadrature sum of |S|^2, ``sup`` the largest |S|,
     ``w_marginal`` the u-integrated |S|^2 on the (w1, w2) grid (cells of
     area ``w_cell``), and ``u_energy`` the w-summed |S|^2 per translation
-    (no cell weights).  Each row writes only its own slots: its
-    u-summed |S|^2 on the (w1, w2) grid (nu1 * nw1 * nw2 floats: 2 MB at
-    n=64 and 16.8 MB at n=128, stride 1), its row of ``u_energy`` and its
-    peak; ``w_marginal`` adds the marginal slots in row order.  A dense
-    field needs no pass for its energy and marginal (``_dense_marginal``).
+    (no cell weights).  A row's |S|^2 is 2 (|p|^2 + |m|^2), read from its
+    channels and not written to them.  Each row writes only its own
+    slots: its u-summed |S|^2 on the (w1, w2) grid (nu1 * nw1 * nw2
+    floats: 2 MB at n=64 and 16.8 MB at n=128, stride 1), its row of
+    ``u_energy`` and its peak; ``w_marginal`` adds the marginal slots in
+    row order.  A dense field needs no pass for its energy and marginal
+    (``_dense_marginal``).
     """
 
     def __init__(self, plan: StqolctPlan):
@@ -634,7 +647,10 @@ class _FieldSums:
         self._peaks = np.zeros(u1.n)
 
     def __call__(self, i1, buffers):
-        sq = np.einsum("abuc,abuc->abu", buffers.block, buffers.block, out=buffers.sq)
+        # |S|^2 = |za|^2 + |zb|^2 = |p + m|^2 + |p - m|^2 = 2 (|p|^2 + |m|^2)
+        z = buffers.chans.view(float).reshape(buffers.chans.shape + (2,))
+        sq = np.einsum("cabuz,cabuz->abu", z, z, out=buffers.sq)
+        sq *= 2.0
         sq.sum(axis=2, out=self._marginals[i1])
         self.u_energy[i1] = sq.sum(axis=(0, 1))
         self._peaks[i1] = sq.max()
@@ -737,7 +753,10 @@ class _Reconstruction:
     profiles; the result is weighted by the translated window (the
     conjugate transpose of the forward window matrix) and summed over
     translations.  The caller checks that the translation grid has
-    stride 1.  The two window shapes of the row engine take two paths:
+    stride 1.  Each call transforms the row's channels in place, so it
+    is the last reducer of its pass; the inverse profiles carry the 1/2
+    of a split of S, twice the channels, so ``result`` scales by 2.  The
+    two window shapes of the row engine take two paths:
 
     * A factored window phi = q * a(x1) * b(x2) (``StqolctPlan._factors``).
       Since sum g * phi = (sum a b g) * q for real a and b, q comes out
@@ -776,7 +795,7 @@ class _Reconstruction:
         self._slots = np.empty((plan.u1.n, 2, plan.ax1.n, plan.ax2.n), dtype=complex)
 
     def __call__(self, i1, buffers):
-        chans = _split_channels(buffers.block, out=(buffers.p, buffers.m))
+        chans = buffers.p, buffers.m
         if self._factors is not None:
             for chan, (head, _, signs), weight, columns in zip(
                     chans, self._planes, self._b_weights, self._columns):
@@ -797,8 +816,9 @@ class _Reconstruction:
 
     def result(self) -> GridSignal2D:
         plan = self._plan
-        # the translation average du / ||phi||^2
-        scale = plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2
+        # the translation average du / ||phi||^2, times 2: the inverse
+        # profiles carry the 1/2 of a split of S, which is twice the channels
+        scale = 2.0 * plan.u1.step * plan.u2.step / l2_norm(plan.window) ** 2
         if self._factors is not None:
             # tail1 and the first axis's sign are the same in both channels;
             # the FFT runs on a copy, so that the result can be read again

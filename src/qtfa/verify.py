@@ -13,7 +13,8 @@ names it emits.  Tasks are independent and run on a small thread pool
 (capped by the QTF_THREADS environment variable); the row passes inside a
 task run their rows inline.  Each parameter set is seven tasks, queued in
 report order: its ``params`` records (the QOLCT and the windowed
-transform's routes against their oracles), ``reconstruction-exact``, the
+transform's routes against their oracles), ``reconstruction-exact`` and
+``energy-exact`` (one streamed pass of a random signal per window), the
 ``field`` records (one streamed pass with its sums and its reconstruction
 together), the exact-support corollary (its own dense field) and one task
 per Moyal record (one ``moyal_check`` call each).  So each costly input
@@ -43,7 +44,7 @@ from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import OlctParams, QolctPlan, qolct_forward, qolct_inverse
 from .quaternion import qconj, qmul, qnorm, quat
 from .stqolct import (StqolctPlan, _FieldSums, _max_workers, _Reconstruction, _stream,
-                      _window_cover, moyal_check, stqolct_forward)
+                      _translations, _window_cover, moyal_check, stqolct_forward)
 from .uncertainty import (InequalityResult, _marginal_map, donoho_stark_check,
                           hardy_decay_fit, log_up_check, log_up_constant, pitt_check,
                           pitt_constant)
@@ -346,8 +347,9 @@ def _field_inputs(config, pset):
 
 
 def _oracle_inputs(config):
-    """The random signal of stqolct-routes and reconstruction-exact, and
-    their quaternion-amplitude and two-axis windows, on the oracle grid."""
+    """The random signal of stqolct-routes, reconstruction-exact and
+    energy-exact, and their quaternion-amplitude and two-axis windows, on
+    the oracle grid."""
     ax1, ax2 = _axes(_ORACLE_N)
     f = _rand_signal(ax1, ax2, np.random.default_rng(config.seed + 3000))
     return f, {"psi": gaussian_signal(ax1, ax2, _WINDOW_ALPHA, amplitude=_PSI_AMPLITUDE),
@@ -365,25 +367,38 @@ def _chirp_gaussian(ax1, ax2):
 
 
 def _check_reconstruction_exact(config, pset):
-    # A deliberate oracle: the streamed stride-1 reconstruction of a
-    # random f against its grid-exact value f * sum_u |phi(x - u)|^2 du /
-    # ||phi||^2 (the fast inverse undoes the fast forward on the grid, and
-    # g * conj(phi) * phi = g |phi|^2).  Unlike the reconstruction record,
-    # it sees every translation row and a quaternion window's q.  On the
-    # default corpus, seeds 0 to 3, the residual measured at most 3.3e-15,
-    # 4.0e-15 and 1.2e-14 at _ORACLE_N = 16, 32 and 64.
+    # Deliberate oracles, on one streamed stride-1 pass of a random f per
+    # window.  reconstruction-exact: the reconstruction against its
+    # grid-exact value f * sum_u |phi(x - u)|^2 du / ||phi||^2 (the fast
+    # inverse undoes the fast forward on the grid, and g * conj(phi) * phi
+    # = g |phi|^2).  Unlike the reconstruction record, it sees every
+    # translation row and a quaternion window's q.  On the default corpus,
+    # seeds 0 to 3, the residual measured at most 3.3e-15, 4.0e-15 and
+    # 1.2e-14 at _ORACLE_N = 16, 32 and 64.  energy-exact: each slice's
+    # transform is unitary on the grid, so the energy of the slice at u,
+    # u_energy * w_cell, is sum_x |f|^2 |phi(x - u)|^2 dA; the worst
+    # translation's residual, relative to the largest slice energy, sees
+    # a single wrong row.  Seeds 0 to 5 at _ORACLE_N measured at most 1.6e-15.
     name, a1, a2 = pset
     f, windows = _oracle_inputs(config)
+    f_density = np.sum(f.data ** 2, axis=-1)
     results = []
     for label, window in windows.items():
         plan = StqolctPlan.create(a1, a2, f.ax1, f.ax2, window, stride=1)
-        rec = _Reconstruction(plan)
-        _stream(f, plan, rec)
-        cover = _window_cover(plan, np.sum(window.data ** 2, axis=-1))
+        # the sums first: the reconstruction overwrites the row's channels
+        sums, rec = _FieldSums(plan), _Reconstruction(plan)
+        _stream(f, plan, sums, rec)
+        density = np.sum(window.data ** 2, axis=-1)
+        cover = _window_cover(plan, density)
         expect = f.data * (cover / l2_norm(window) ** 2)[:, :, None]
-        results.append(_below(
-            "reconstruction-exact", {"set": name, "window": label, "n": f.ax1.n},
-            _rel_l2(rec.result(), GridSignal2D(f.ax1, f.ax2, expect)), 0.0, 1e-12))
+        params = {"set": name, "window": label, "n": f.ax1.n}
+        results.append(_below("reconstruction-exact", params,
+                              _rel_l2(rec.result(), GridSignal2D(f.ax1, f.ax2, expect)),
+                              0.0, 1e-12))
+        slices = np.einsum("ab,abij->ij", f_density,
+                           _translations(plan, density, (0, 1))) * f.cell_area
+        worst = float(np.max(np.abs(sums.u_energy * sums.w_cell - slices)) / np.max(slices))
+        results.append(_below("energy-exact", dict(params), worst, 0.0, 1e-12))
     return results
 
 
@@ -442,7 +457,8 @@ _CHECKS = {
     "hardy": (_check_hardy, False, ("hardy-qft",)),
     "params": (_check_params, True, (
         "qolct-plancherel", "qolct-roundtrip", "qolct-oracle", "stqolct-routes")),
-    "reconstruction-exact": (_check_reconstruction_exact, True, ("reconstruction-exact",)),
+    "reconstruction-exact": (_check_reconstruction_exact, True, (
+        "reconstruction-exact", "energy-exact")),
     "field": (_check_field, True, (
         "boundedness", "energy", "reconstruction", "donoho-stark", "pitt",
         "pitt-equality", "log-up")),

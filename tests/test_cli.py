@@ -1,11 +1,12 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtfa import cli, grid, load_field, load_signal
+from qtfa import cli, fileio, grid, load_field, load_signal
 from qtfa.cli import main
 from qtfa.errors import FormatError
 from qtfa.verify import load_report
@@ -13,6 +14,14 @@ from qtfa.verify import load_report
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def _readme_check_count():
+    """The check count of the default verdict that README.md quotes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    found = re.findall(r"`(\d+) checks, 0 gated failures -> report PATH`", readme)
+    assert len(found) == 1, found
+    return found[0]
 
 
 def _must_not_run(*args, **kwargs):
@@ -354,6 +363,21 @@ class TestTransform:
         assert run("gen", "--kind", "product", "--a", f, "--b", w,
                    "-o", tmp_path / "p.qs2d") == 0
 
+    def test_a_csv_over_the_budget_exits_2_naming_the_file(self, tmp_path, monkeypatch,
+                                                           capsys):
+        f = tmp_path / "f.csv"
+        assert run("gen", "--kind", "gaussian", "--n", 16, "-o", f) == 0
+        need = fileio._CSV_LOAD_FACTOR * f.stat().st_size
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need - 1)
+        out = tmp_path / "F.qs2d"
+        assert run("transform", "qft", "-i", f, "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {f}: loading the CSV file needs {need} bytes, over the memory budget "
+            f"of {need - 1} bytes (MemAvailable)\n")
+        assert not out.exists()
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need)
+        assert run("transform", "qft", "-i", f, "-o", out) == 0
+
     def test_shape_mismatch_exits_3(self, tmp_path, gauss_file):
         window = tmp_path / "w.qs2d"
         run("gen", "--kind", "gaussian", "--alpha", 2, "--n", 8, "--extent", 8,
@@ -382,12 +406,15 @@ class TestVerify:
         report = tmp_path / "report.jsonl"
         assert run("verify", "--n", "16", "--out", report) == 0
         verdict = capsys.readouterr().out.splitlines()[-1]
-        assert verdict == f"96 checks, 0 gated failures -> report {report}"
+        # the default corpus's check count does not depend on n, so the
+        # README's verdict is this run's
+        count = _readme_check_count()
+        assert verdict == f"{count} checks, 0 gated failures -> report {report}"
         names = [json.loads(line)["name"] for line in report.read_text().splitlines()]
-        assert len(names) == 96
+        assert len(names) == int(count)
         # the form the benchmark's verify-corpus workload parses
         parsed = re.search(r"(\d+) checks, (\d+) gated failures", verdict)
-        assert parsed.groups() == ("96", "0")
+        assert parsed.groups() == (count, "0")
 
     def test_only_filter(self, tmp_path):
         report = tmp_path / "report.jsonl"

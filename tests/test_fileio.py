@@ -8,7 +8,7 @@ from qtfa import (Axis, OlctParams, StqolctPlan, gaussian_signal, grid,
                   load_field, load_signal, save_field, save_signal,
                   stqolct_forward)
 from qtfa.errors import FormatError, ParameterError
-from qtfa.fileio import _PAYLOAD_CHUNK
+from qtfa.fileio import _CSV_LOAD_FACTOR, _PAYLOAD_CHUNK
 
 
 @pytest.fixture
@@ -112,6 +112,24 @@ class TestCsv:
             assert (back.ax1, back.ax2) == (f.ax1, f.ax2)
             assert np.array_equal(back.data, f.data)
         assert drifted
+
+    def test_over_budget_load_raises_before_it_is_read(self, signal, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        save_signal(signal, path)
+        need = _CSV_LOAD_FACTOR * path.stat().st_size
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need - 1)
+        monkeypatch.setattr(type(path), "read_bytes",
+                            lambda self: pytest.fail("the file was read"))
+        with pytest.raises(ParameterError, match=f"^{path}: loading the CSV file needs {need} "
+                                                 f"bytes, over the memory budget of {need - 1} "):
+            load_signal(path)
+
+    def test_a_load_of_exactly_the_budget_is_read(self, signal, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        save_signal(signal, path)
+        need = _CSV_LOAD_FACTOR * path.stat().st_size
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need)
+        assert np.array_equal(load_signal(path).data, signal.data)
 
     def test_header_and_line_endings(self, signal, tmp_path):
         path = tmp_path / "f.csv"

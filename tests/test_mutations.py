@@ -3,12 +3,9 @@
 Each mutant is monkeypatched into the package and the records of every
 per-parameter-set task of the default corpus, and of the ``special-fn``
 task, are run at n=16.  The records that caught each mutant are printed
-(``pytest -s``).
-
-Not on the list: a ``_FieldSums`` that zeroes its last row (marginal
-slot, ``u_energy`` row and peak) still gives no gated failure, as the
-corpus Gaussian has no energy there; it waits for a grid-exact oracle of
-the streamed sums.
+(``pytest -s``).  Only ``energy-exact`` catches the two ``_FieldSums``
+mutants: the corpus Gaussian of the field records has no energy in the
+last row and its sums pass their 1e-3 gates in float32.
 
 Audited gated records that no mutant below catches: ``pitt-constant-zero``
 (each Pitt formula mutant keeps C(0) = 4 pi^2), ``donoho-stark``,
@@ -47,7 +44,7 @@ def _reconstruction_skips_the_last_row(monkeypatch):
 
     def mutant(self, i1, buffers):
         if i1 == self._plan.u1.n - 1:
-            buffers.block.fill(0.0)
+            buffers.chans.fill(0.0)
         call(self, i1, buffers)
 
     monkeypatch.setattr(stqolct._Reconstruction, "__call__", mutant)
@@ -116,7 +113,7 @@ def _scaled_rows(monkeypatch):
 
         def scaled(i1, buffers):
             row(i1, buffers)
-            buffers.block *= 1.0 + 1e-6
+            buffers.chans *= 1.0 + 1e-6
 
         return scaled
 
@@ -208,11 +205,40 @@ def _slab_pass_drops_the_last_slab(monkeypatch):
         def dropping(k, buffers):
             row(k, buffers)
             if slabs and k == shape[2] - 1:
-                buffers.block.fill(0.0)
+                buffers.chans.fill(0.0)
 
         pass_(shape, dropping, *reducers, slabs=slabs)
 
     monkeypatch.setattr(stqolct, "_pass", mutant)
+
+
+def _field_sums_in_float32(monkeypatch):
+    # the streamed field sums square float32-rounded coefficients; the
+    # row's channels are restored for the reducers after them
+    call = stqolct._FieldSums.__call__
+
+    def mutant(self, i1, buffers):
+        exact = buffers.chans.copy()
+        buffers.chans[...] = exact.astype(np.complex64)
+        call(self, i1, buffers)
+        buffers.chans[...] = exact
+
+    monkeypatch.setattr(stqolct._FieldSums, "__call__", mutant)
+
+
+def _field_sums_drop_the_last_row(monkeypatch):
+    # the streamed field sums zero the slots of the last u1 row: its
+    # marginal slot, its u_energy row and its peak
+    call = stqolct._FieldSums.__call__
+
+    def mutant(self, i1, buffers):
+        call(self, i1, buffers)
+        if i1 == len(self.u_energy) - 1:
+            self._marginals[i1] = 0.0
+            self.u_energy[i1] = 0.0
+            self._peaks[i1] = 0.0
+
+    monkeypatch.setattr(stqolct._FieldSums, "__call__", mutant)
 
 
 def _transposed_moyal_gram(monkeypatch):
@@ -264,6 +290,8 @@ MUTANTS = {
     "transposed-moyal-gram": _transposed_moyal_gram,
     "forward-skips-a-row-onto-a-stale-spare": _forward_skips_a_row_onto_a_stale_spare,
     "slab-pass-drops-the-last-slab": _slab_pass_drops_the_last_slab,
+    "field-sums-in-float32": _field_sums_in_float32,
+    "field-sums-drop-the-last-row": _field_sums_drop_the_last_row,
     **{name: _pitt_formula(formula) for name, formula in PITT_MUTANTS.items()},
 }
 

@@ -21,6 +21,7 @@ from qtfa import (Axis, GridSignal2D, OlctParams, QolctPlan, StqolctPlan,
 from qtfa import stqolct, uncertainty
 from qtfa.errors import ParameterError, ShapeError
 from qtfa.grid import _memory_budget
+from qtfa.qft import _join_channels, _split_channels
 from qtfa.stqolct import (_discard, _FieldSums, _max_workers, _pass, _Reconstruction,
                           _replay, _stream)
 from qtfa.uncertainty import donoho_stark_check, field_w_energy_map
@@ -725,7 +726,7 @@ def test_each_engine_is_bit_identical_at_1_2_and_3_threads(monkeypatch, window, 
 def test_a_slab_built_field_equals_the_streamed_rows(monkeypatch, window, stride, threads):
     # stqolct_forward builds a factored window's field one w2 slab at a
     # time; the streamed reducers take it one u1 row at a time, and both
-    # orders must give every coefficient to the last bit
+    # orders must give every coefficient to the last bit once joined
     monkeypatch.setenv("QTF_THREADS", threads)
     ax1, ax2 = Axis.centered(24, 6.0), Axis.centered(20, 5.0)
     plan = StqolctPlan.create(MIXED, NEG_B, ax1, ax2, named_window(ax1, ax2, window),
@@ -735,7 +736,7 @@ def test_a_slab_built_field_equals_the_streamed_rows(monkeypatch, window, stride
     rows = np.full(stqolct._field_shape(plan) + (4,), np.nan)
 
     def keep(i1, buffers):
-        rows[:, :, i1] = buffers.block
+        rows[:, :, i1] = _join_channels(buffers.p, buffers.m)
 
     _stream(f, plan, keep)
     assert np.array_equal(stqolct_forward(f, plan).data, rows)
@@ -744,20 +745,28 @@ def test_a_slab_built_field_equals_the_streamed_rows(monkeypatch, window, stride
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("n1, n2, stride", [(12, 10, 1), (16, 16, 4)])
 def test_a_pass_feeds_each_row_once_in_chunk_order(monkeypatch, threads, n1, n2, stride):
-    # every row comes once, with the dense field's values; the workers
-    # take rows from one counter, so each worker's rows come in order
+    # every row comes once, with the dense field's values: the engine's
+    # channels join to the field's row, and a replayed row's channels are
+    # the split of half of it; the workers take rows from one counter, so
+    # each worker's rows come in order
     monkeypatch.setenv("QTF_THREADS", threads)
     ax1, ax2 = Axis.centered(n1, 6.0), Axis.centered(n2, 5.0)
     plan = make_plan(ax1, ax2, stride=stride)
     f = random_signal(ax1, ax2, seed=415)
     field = stqolct_forward(f, plan)
-    for feed in (lambda reducer: _stream(f, plan, reducer),
-                 lambda reducer: _replay(field, reducer)):
+    def streamed(i1, buffers):
+        return np.array_equal(_join_channels(buffers.p, buffers.m), field.data[:, :, i1])
+
+    def replayed(i1, buffers):
+        return all(np.array_equal(chan, expect) for chan, expect in
+                   zip((buffers.p, buffers.m), _split_channels(0.5 * field.data[:, :, i1])))
+
+    for feed, row_matches in ((lambda reducer: _stream(f, plan, reducer), streamed),
+                              (lambda reducer: _replay(field, reducer), replayed)):
         calls = []
 
         def record(i1, buffers):
-            calls.append((threading.get_ident(), i1,
-                          np.array_equal(buffers.block, field.data[:, :, i1])))
+            calls.append((threading.get_ident(), i1, row_matches(i1, buffers)))
 
         feed(record)
         assert sorted(i1 for _, i1, _ in calls) == list(range(plan.u1.n))

@@ -111,8 +111,9 @@ class TestRunVerification:
                 + ["qft-plancherel", "qft-roundtrip"] * 3
                 + ["qft-plancherel", "qft-oracle"] + ["hardy-qft"] * 4)
         per_set = (["qolct-plancherel", "qolct-roundtrip"] * 3
-                   + ["qolct-oracle", "stqolct-routes", "reconstruction-exact",
-                      "reconstruction-exact", "boundedness", "energy", "reconstruction"]
+                   + ["qolct-oracle", "stqolct-routes"]
+                   + ["reconstruction-exact", "energy-exact"] * 2
+                   + ["boundedness", "energy", "reconstruction"]
                    + ["donoho-stark"] * 3
                    + ["pitt", "pitt-equality", "pitt", "pitt", "pitt", "log-up",
                       "donoho-stark-support", "moyal-shared-window", "moyal-shared-signal",
