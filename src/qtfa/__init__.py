@@ -14,7 +14,7 @@ from .grid import (Axis, GridSignal2D, chirp_signal, frequency_axis,
 from .qft import QftPlan, qft_forward, qft_inverse, qft_modulus
 from .qolct import (OlctParams, QolctPlan, kernel_left, kernel_right,
                     qolct_forward, qolct_inverse)
-from .quaternion import qconj, qmatmul, qmul, qnorm, quat, scalar_part, unit_exp
+from .quaternion import qconj, qmatmul, qmul, qnorm, quat, unit_exp
 from .stqolct import (MoyalResult, StqolctField, StqolctPlan, coefficient_slice,
                       modified_signal, moyal_check, stqolct_energy,
                       stqolct_forward, stqolct_reconstruct)

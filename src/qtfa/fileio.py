@@ -16,13 +16,15 @@ w1, w2, u1, u2, the two parameter sextets as 12 f64, then the quaternion
 payload with index order w1-major and u2 fastest.  Header is 184 bytes.
 
 Malformed input raises FormatError carrying the byte offset of the first
-offending byte.
+offending byte.  Offsets follow the file's order: a file with two faults
+reports the one nearer its start.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +43,14 @@ _CSV_HEADER = "x1,x2,q0,q1,q2,q3"
 _PAYLOAD_CHUNK = 1 << 15
 #: the file extensions of each kind of file
 _SUFFIXES = {"signal": (".qs2d", ".csv"), "field": (".qtf4",)}
-#: peak memory of a .csv load over the file's size.  The load holds the
-#: bytes, their lines and one list of floats per line, about 560 bytes a
-#: line: measured 7.3 to 7.5 for random signals as ``save_signal`` writes
-#: them, 20.5 for a zero signal, and 34.3 for integer coordinates and
-#: zero values (15.6-byte lines, about the shortest a large grid has)
-_CSV_LOAD_FACTOR = 36
+#: peak memory of a .csv load over the file's size.  The load holds 56
+#: bytes a data line (six f64 values and the line's offset) and the (n1,
+#: n2, 4) copy of the samples: measured at n = 256, 512 and 1024 as 0.75
+#: to 0.84 for random signals as ``save_signal`` writes them, 2.0 to 2.5
+#: for a zero signal, 2.7 to 2.9 for a zero signal on an integer grid,
+#: and 4.7 to 5.3 for hand-written integer coordinates and zero values
+#: (15.6-byte lines at n = 512, about the shortest a large grid has)
+_CSV_LOAD_FACTOR = 8
 
 
 def _suffix(path, kind):
@@ -178,68 +182,56 @@ def _save_csv(f, path):
 
 def _load_csv(path):
     _check_memory(_CSV_LOAD_FACTOR * path.stat().st_size, f"{path}: loading the CSV file")
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8", offset=exc.start) from None
-    # split the bytes, not the text, so that every offset counts bytes
-    lines = raw.split(b"\n")
-    if lines[0] != _CSV_HEADER.encode():
-        raise FormatError(f"{path}: bad header line", offset=0)
-    rows, starts = [], []
-    offset = len(lines[0]) + 1
-    for line in lines[1:]:
-        if line:
-            fields = line.decode("utf-8").split(",")
-            if len(fields) != 6:
-                raise FormatError(f"{path}: expected 6 fields, got {len(fields)}",
-                                  offset=offset)
+    # one pass over the lines: the first fault in the file is the one reported
+    values, starts = array("d"), array("q")
+    with open(path, "rb") as fh:
+        header = fh.readline(len(_CSV_HEADER) + 1)
+        if header.removesuffix(b"\n") != _CSV_HEADER.encode():
+            raise FormatError(f"{path}: bad header line", offset=0)
+        offset = len(header)
+        for line in fh:
+            start, offset = offset, offset + len(line)
+            if line == b"\n":
+                continue
             try:
-                values = [float(v) for v in fields]
+                fields = line.decode("utf-8").split(",")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not UTF-8", offset=start + exc.start) from None
+            if len(fields) != 6:
+                raise FormatError(f"{path}: expected 6 fields, got {len(fields)}", offset=start)
+            try:
+                row = [float(v) for v in fields]
             except ValueError:
-                raise FormatError(f"{path}: unparsable number", offset=offset) from None
-            if not all(map(math.isfinite, values)):
-                raise FormatError(f"{path}: non-finite value", offset=offset)
-            rows.append(values)
-            starts.append(offset)
-        offset += len(line) + 1
-    if not rows:
+                raise FormatError(f"{path}: unparsable number", offset=start) from None
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"{path}: non-finite value", offset=start)
+            values.extend(row)
+            starts.append(start)
+    if not starts:
         raise FormatError(f"{path}: no data rows", offset=len(_CSV_HEADER) + 1)
-    # a grid error reports the first data line off the grid, or the end of
-    # the file when only lines are missing there
-    starts.append(len(raw))
-    table = np.array(rows)
+    # starts[k] is the offset of data line k, and starts[len(table)] the
+    # end of the file
+    starts.append(offset)
+    table = np.frombuffer(values).reshape(-1, 6)
+    # the one layout rule: the data lines are the grid's samples, in order,
+    # on the grid whose rows are x1's runs of n2 lines
     x1, x2 = table[:, 0], table[:, 1]
-    n2 = int(np.argmax(x1 != x1[0])) if (x1 != x1[0]).any() else len(x1)
-    if n2 < 2 or len(rows) % n2:
-        raise FormatError(f"{path}: rows do not form a rectangular grid",
-                          offset=starts[_first_off_block(x1, x2, n2)])
-    n1 = len(rows) // n2
-    ax1 = _axis_from_coords(x1[::n2], starts[:-1:n2] + starts[-1:], path)
+    changed = x1 != x1[0]
+    n2 = int(np.argmax(changed)) if changed.any() else len(x1)
+    if n2 < 2:
+        raise FormatError(f"{path}: rows do not form a rectangular grid", offset=starts[n2])
     ax2 = _axis_from_coords(x2[:n2], starts, path)
-    grid_x1 = np.repeat(ax1.coords, n2)
-    grid_x2 = np.tile(ax2.coords, n1)
+    ax1 = _axis_from_coords(x1[::n2], starts[::n2], path)
     scale = max(ax1.step, ax2.step)
-    off = (np.abs(x1 - grid_x1) > 1e-9 * scale) | (np.abs(x2 - grid_x2) > 1e-9 * scale)
+    off = ((np.abs(x1 - np.repeat(ax1.coords, n2)[:len(x1)]) > 1e-9 * scale)
+           | (np.abs(x2 - np.tile(ax2.coords, ax1.n)[:len(x1)]) > 1e-9 * scale))
     if off.any():
         raise FormatError(f"{path}: sample coordinates are not a uniform grid",
                           offset=starts[int(np.argmax(off))])
-    return GridSignal2D(ax1, ax2, table[:, 2:].reshape(n1, n2, 4))
-
-
-def _first_off_block(x1, x2, n2):
-    """Index of the first row that breaks the layout of blocks of n2 rows.
-
-    In a block x1 is constant and x2 repeats the first block's values; the
-    row count when every row keeps to that (the missing rows are at the end).
-    """
-    if n2 < 2:
-        return n2
-    r = np.arange(len(x1))
-    tol = 1e-9 * abs(x2[1] - x2[0])
-    off = (np.abs(x1 - x1[r - r % n2]) > tol) | (np.abs(x2 - x2[r % n2]) > tol)
-    return int(np.argmax(off)) if off.any() else len(x1)
+    if len(x1) % n2:
+        # every line is on the grid, and the file ends inside its last run
+        raise FormatError(f"{path}: rows do not form a rectangular grid", offset=starts[-1])
+    return GridSignal2D(ax1, ax2, table[:, 2:].reshape(ax1.n, n2, 4))
 
 
 def _axis_from_coords(coords, starts, path):

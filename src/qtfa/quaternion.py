@@ -19,7 +19,6 @@ __all__ = [
     "qmul",
     "qconj",
     "qnorm",
-    "scalar_part",
     "unit_exp",
     "qmatmul",
 ]
@@ -59,11 +58,6 @@ def qnorm(q):
     """Pointwise modulus sqrt(q0^2 + q1^2 + q2^2 + q3^2)."""
     q = np.asarray(q, dtype=float)
     return np.sqrt(np.sum(q * q, axis=-1))
-
-
-def scalar_part(q):
-    """The real component q0."""
-    return np.asarray(q, dtype=float)[..., 0]
 
 
 def unit_exp(axis, theta):

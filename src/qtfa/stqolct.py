@@ -123,6 +123,7 @@ as before.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -223,8 +224,10 @@ class StqolctPlan:
         _check_axes(window, ax1, ax2, "window must be sampled on the signal grid")
         if l2_norm(window) == 0.0:
             raise ParameterError("window must have nonzero norm")
-        if not (isinstance(stride, int) and stride >= 1):
+        if not (isinstance(stride, numbers.Integral) and not isinstance(stride, bool)
+                and stride >= 1):
             raise ParameterError(f"stride must be a positive integer, got {stride!r}")
+        stride = int(stride)
         if ax1.n % stride or ax2.n % stride:
             raise ParameterError(
                 f"stride {stride} must divide the sample counts ({ax1.n}, {ax2.n})"

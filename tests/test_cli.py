@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qtfa import cli, fileio, grid, load_field, load_signal
+from qtfa import cli, fileio, grid, load_field, load_signal, stqolct, verify
 from qtfa.cli import main
 from qtfa.errors import FormatError
 from qtfa.verify import load_report
@@ -16,10 +16,13 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def _readme():
+    return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_check_count():
     """The check count of the default verdict that README.md quotes."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    found = re.findall(r"`(\d+) checks, 0 gated failures -> report PATH`", readme)
+    found = re.findall(r"`(\d+) checks, 0 gated failures -> report PATH`", _readme())
     assert len(found) == 1, found
     return found[0]
 
@@ -378,6 +381,22 @@ class TestTransform:
         monkeypatch.setattr(grid, "_memory_budget", lambda: need)
         assert run("transform", "qft", "-i", f, "-o", out) == 0
 
+    @pytest.mark.parametrize("transform, flags", [
+        ("qft", ()), ("qolct", ("--A1", "0,1,-1,0,0,0", "--A2", "1,1,0,1,0.2,-0.4"))])
+    def test_a_fast_transform_over_the_budget_exits_2_before_it_runs(
+            self, tmp_path, gauss_file, monkeypatch, capsys, transform, flags):
+        # the load needs the input's bytes, the transform twice them
+        need = 2 * load_signal(gauss_file).data.nbytes
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need - 1)
+        out = tmp_path / "F.qs2d"
+        assert run("transform", transform, *flags, "-i", gauss_file, "-o", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: transform {transform} of {gauss_file} needs {need} bytes, over the "
+            f"memory budget of {need - 1} bytes (MemAvailable)\n")
+        assert not out.exists()
+        monkeypatch.setattr(grid, "_memory_budget", lambda: need)
+        assert run("transform", transform, *flags, "-i", gauss_file, "-o", out) == 0
+
     def test_shape_mismatch_exits_3(self, tmp_path, gauss_file):
         window = tmp_path / "w.qs2d"
         run("gen", "--kind", "gaussian", "--alpha", 2, "--n", 8, "--extent", 8,
@@ -415,6 +434,16 @@ class TestVerify:
         # the form the benchmark's verify-corpus workload parses
         parsed = re.search(r"(\d+) checks, (\d+) gated failures", verdict)
         assert parsed.groups() == (count, "0")
+
+    @pytest.mark.parametrize("quoted, value", [
+        (r"at (\d+) times its size", fileio._CSV_LOAD_FACTOR),
+        (r"from (\d+) MiB up", stqolct._SPARE_BYTES / 2**20),
+        (r"min\(n, (\d+)\)", verify._MOYAL_N),
+    ])
+    def test_readme_quotes_the_constants(self, quoted, value):
+        # README wraps its lines, so a quote may span one
+        found = re.findall(quoted.replace(" ", r"\s+"), _readme())
+        assert found and {float(v) for v in found} == {value}
 
     def test_only_filter(self, tmp_path):
         report = tmp_path / "report.jsonl"

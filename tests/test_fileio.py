@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_signal
-from qtfa import (Axis, OlctParams, StqolctPlan, gaussian_signal, grid,
+from qtfa import (Axis, OlctParams, StqolctPlan, fileio, gaussian_signal, grid,
                   load_field, load_signal, save_field, save_signal,
                   stqolct_forward)
 from qtfa.errors import FormatError, ParameterError
@@ -118,8 +118,8 @@ class TestCsv:
         save_signal(signal, path)
         need = _CSV_LOAD_FACTOR * path.stat().st_size
         monkeypatch.setattr(grid, "_memory_budget", lambda: need - 1)
-        monkeypatch.setattr(type(path), "read_bytes",
-                            lambda self: pytest.fail("the file was read"))
+        monkeypatch.setattr(fileio, "open", lambda *args: pytest.fail("the file was read"),
+                            raising=False)
         with pytest.raises(ParameterError, match=f"^{path}: loading the CSV file needs {need} "
                                                  f"bytes, over the memory budget of {need - 1} "):
             load_signal(path)
@@ -183,6 +183,35 @@ class TestCsv:
         with pytest.raises(FormatError) as err:
             load_signal(path)
         assert err.value.offset == len("\n".join(lines[:3]).encode("utf-8")) + 1
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xc3"])
+    def test_a_byte_that_is_not_utf8_reports_its_offset(self, signal, tmp_path, bad):
+        # an invalid byte, and a lead byte cut short, 5 bytes into data row 2
+        path = tmp_path / "f.csv"
+        save_signal(signal, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:5] + bad + lines[2][5:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match="not UTF-8") as err:
+            load_signal(path)
+        assert err.value.offset == len(b"\n".join(lines[:2])) + 1 + 5
+
+    @pytest.mark.parametrize("first", ["header", "row 1"])
+    def test_of_two_faults_the_first_in_the_file_is_reported(self, signal, tmp_path, first):
+        # a bad header or an unparsable data row 1, and an invalid byte in
+        # data row 3: the offset is that of the first fault
+        path = tmp_path / "f.csv"
+        save_signal(signal, path)
+        lines = path.read_bytes().split(b"\n")
+        if first == "header":
+            lines[0] = b"x,y,a,b,c,d"
+        else:
+            lines[1] = lines[1].replace(b",", b",x", 1)
+        lines[3] = b"\xff" + lines[3]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError) as err:
+            load_signal(path)
+        assert err.value.offset == (0 if first == "header" else len(lines[0]) + 1)
 
     @pytest.mark.parametrize("row, column, bad_row", [
         (5, None, 5),      # row 5 deleted: row 5 now holds row 6's coordinates

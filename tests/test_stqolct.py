@@ -126,6 +126,16 @@ class TestPlan:
         with pytest.raises(ParameterError):
             make_plan(*small_axes, stride=3)
 
+    @pytest.mark.parametrize("stride", [True, np.int64(2), 2.0])
+    def test_a_stride_is_any_integer_but_a_bool(self, small_axes, stride):
+        # the count rule of Axis, less bool: True is no stride of 1
+        if isinstance(stride, np.integer):
+            plan = make_plan(*small_axes, stride=stride)
+            assert type(plan.stride) is int and plan.stride == 2
+        else:
+            with pytest.raises(ParameterError, match="stride must be a positive integer"):
+                make_plan(*small_axes, stride=stride)
+
     @pytest.mark.parametrize("n1, n2", [(16, 16), (32, 16), (16, 32)])
     def test_a_stride_leaving_one_translation_names_stride_and_n(self, n1, n2):
         with pytest.raises(ParameterError, match="stride 16 .* n = 16 samples"):
